@@ -54,6 +54,12 @@ void HeapEventQueue::pop() {
   heap_.pop_back();
 }
 
+void HeapEventQueue::drop_dead(const EventArena& arena) {
+  std::erase_if(heap_,
+                [&arena](const QueuedEvent& e) { return !arena.live(e.id); });
+  std::make_heap(heap_.begin(), heap_.end(), HeapAfter{});
+}
+
 CalendarEventQueue::CalendarEventQueue() : buckets_(kMinBuckets) {}
 
 CalendarEventQueue::Bucket& CalendarEventQueue::Bucket::operator=(
@@ -189,6 +195,23 @@ void CalendarEventQueue::pop() {
   if (count_ < buckets_.size() / 2 && buckets_.size() > kMinBuckets) {
     rebuild(buckets_.size() / 2);
   }
+}
+
+void CalendarEventQueue::drop_dead(const EventArena& arena) {
+  for (Bucket& bucket : buckets_) {
+    QueuedEvent* entries = bucket.data();
+    std::uint32_t kept = 0;
+    for (std::uint32_t i = 0; i < bucket.size; ++i) {
+      if (arena.live(entries[i].id)) entries[kept++] = entries[i];
+    }
+    count_ -= bucket.size - kept;
+    bucket.size = kept;
+  }
+  std::size_t bucket_count = buckets_.size();
+  while (count_ < bucket_count / 2 && bucket_count > kMinBuckets) {
+    bucket_count /= 2;
+  }
+  rebuild(bucket_count);
 }
 
 void CalendarEventQueue::rebuild(std::size_t new_bucket_count) {

@@ -23,9 +23,14 @@
 /// thresholds, scan cursor — depends only on the sequence of push/pop calls,
 /// never on wall-clock time or addresses, so reruns are byte-identical.
 ///
-/// Cancellation is NOT the queue's concern: the engine cancels lazily by
-/// dropping dead ids at pop time (the arena knows liveness in O(1)), so
-/// queues only ever see push/peek/pop.
+/// Cancellation: the engine cancels in O(1) by killing the id in its arena
+/// (event_arena.hpp) and leaves the entry queued. A dead entry is dropped
+/// either when it reaches the top (the engine skips it at pop time) or by
+/// drop_dead(), which the engine calls once dead entries outnumber live
+/// ones. drop_dead() removes only dead ids and keeps the (time, id) order
+/// of the rest, so the pop sequence of live events is unchanged. Without
+/// it, reschedule-heavy models would leave the calendar sizing its day
+/// width from a mostly-dead population (DESIGN.md §12).
 
 #include <cstddef>
 #include <cstdint>
@@ -33,6 +38,8 @@
 #include <optional>
 #include <string_view>
 #include <vector>
+
+#include "des/event_arena.hpp"
 
 namespace ll::des {
 
@@ -82,6 +89,12 @@ class EventQueue {
   /// Removes the earliest entry. Precondition: peek() != nullptr.
   virtual void pop() = 0;
 
+  /// Removes every entry whose id is no longer live in `arena` (cancelled
+  /// events), in O(size()). Surviving entries keep their (time, id) order.
+  /// Invalidates the pointer peek() returned, like push/pop.
+  virtual void drop_dead(const EventArena& arena) = 0;
+
+  /// Entries held, live and dead.
   [[nodiscard]] virtual std::size_t size() const = 0;
   [[nodiscard]] virtual QueueBackend backend() const = 0;
 };
@@ -95,6 +108,7 @@ class HeapEventQueue final : public EventQueue {
   void push(double time, std::uint64_t id) override;
   [[nodiscard]] const QueuedEvent* peek() override;
   void pop() override;
+  void drop_dead(const EventArena& arena) override;
   [[nodiscard]] std::size_t size() const override { return heap_.size(); }
   [[nodiscard]] QueueBackend backend() const override {
     return QueueBackend::kHeap;
@@ -122,7 +136,8 @@ class HeapEventQueue final : public EventQueue {
 /// Resize policy keeps amortized O(1): grow (double) when the population
 /// exceeds 2x nbuckets, shrink (halve) when it drops under nbuckets/2,
 /// with the width re-estimated from the population's time span at each
-/// rebuild — all pure functions of the operation sequence, so deterministic.
+/// rebuild — all pure functions of the operation sequence (drop_dead
+/// calls included), so deterministic.
 ///
 /// Known worst case (documented, accepted): a population where nearly all
 /// pending events share one timestamp lands in one bucket, degrading the
@@ -136,6 +151,10 @@ class CalendarEventQueue final : public EventQueue {
   void push(double time, std::uint64_t id) override;
   [[nodiscard]] const QueuedEvent* peek() override;
   void pop() override;
+  /// Filters each bucket in place, then rebuilds at the bucket count the
+  /// resize policy implies for the survivors, which re-estimates the width
+  /// from their span.
+  void drop_dead(const EventArena& arena) override;
   [[nodiscard]] std::size_t size() const override { return count_; }
   [[nodiscard]] QueueBackend backend() const override {
     return QueueBackend::kCalendar;

@@ -39,6 +39,11 @@ bool Simulation::cancel(EventId id) {
   (void)arena_.take(id, tag);  // destroys the callback, frees the page
   --pending_;
   ++cancelled_;
+  // Every live event has exactly one entry, so past this bound more than
+  // half the entries are dead and dropping them all is amortized O(1).
+  if (queue_->size() > 2 * pending_ + kCompactionFloor) {
+    queue_->drop_dead(arena_);
+  }
   if (observer_) observer_->on_cancel(id, tag);
   return true;
 }

@@ -18,8 +18,13 @@
 /// (des/event_arena.hpp) with small-buffer callable storage
 /// (des/small_fn.hpp): schedule and cancel are O(1) with no hashing and,
 /// for ordinary captures, no allocation. Scheduling returns an EventId that
-/// can cancel the event later (lazy deletion: cancelled ids are skipped
-/// when popped).
+/// can cancel the event later. Cancel kills the id in the arena and leaves
+/// its queue entry behind; dead entries are skipped when they reach the
+/// top, and once the queue holds more than 2 x pending_count() +
+/// kCompactionFloor entries, cancel drops them all (EventQueue::drop_dead).
+/// Each such compaction removes at least half the entries it scans, so it
+/// costs amortized O(1) per cancel, and the queue stays O(pending) even
+/// when almost every scheduled event is cancelled before it fires.
 ///
 /// An optional SimObserver receives schedule/fire/cancel notifications —
 /// the verification layer (src/verify/) uses this to stream state digests
@@ -107,7 +112,9 @@ class Simulation {
   EventId schedule_in(double delay, Callback fn, std::uint64_t tag = 0);
 
   /// Cancels a pending event. Cancelling an already-fired, already-cancelled
-  /// or kNoEvent id is a harmless no-op (returns false).
+  /// or kNoEvent id is a harmless no-op (returns false). May compact the
+  /// queue (see the file comment); ids, counters, observer calls and the
+  /// fire order are unaffected.
   bool cancel(EventId id);
 
   /// True if `id` is pending (scheduled, not fired, not cancelled).
@@ -157,6 +164,15 @@ class Simulation {
     return arena_.allocated_slots();
   }
 
+  /// Queue entries held, live and dead. Monitoring/test hook: cancel keeps
+  /// it at most 2 x pending_count() + kCompactionFloor, so a reschedule
+  /// storm cannot fill the queue with dead entries.
+  [[nodiscard]] std::size_t queued_entries() const { return queue_->size(); }
+
+  /// Dead entries the queue may hold beyond 2 x pending_count() before
+  /// cancel compacts it. Keeps small queues from compacting on every cancel.
+  static constexpr std::size_t kCompactionFloor = 1024;
+
   /// Slots per arena page; peak callback_buckets() for N simultaneous
   /// events is ceil((N + 1) / kCallbackPageSlots) pages (id 0 is reserved,
   /// shifting ids by one slot). Pinned by the peak-footprint regression
@@ -173,7 +189,9 @@ class Simulation {
 
  private:
   // Drops cancelled entries off the top; returns the earliest live entry,
-  // or nullptr when the queue is exhausted.
+  // or nullptr when the queue is exhausted. The pointer dies with the next
+  // queue mutation, and a callback's schedule or cancel is one (cancel may
+  // compact), so it is never held across a fire.
   const QueuedEvent* settle_top();
 
   double now_ = 0.0;

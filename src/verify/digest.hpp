@@ -65,9 +65,14 @@ class Digest {
 };
 
 /// SimObserver that folds every *fired* event's (time, id, tag) into a
-/// digest. Schedule/cancel activity is deliberately excluded: two runs are
-/// behaviorally identical iff they fire the same events at the same times in
-/// the same order, regardless of how much speculative scheduling each did.
+/// digest. Schedule and cancel calls are not folded directly, but they are
+/// not invisible either: the engine issues one id per schedule, so a run
+/// that schedules (and later cancels) one extra event shifts the id of
+/// every event fired after it. Two runs match iff they fire the same events
+/// at the same times in the same order *and* schedule the same number of
+/// events before each fire. A change that skips doomed schedules, rather
+/// than cancelling them, therefore changes the digest; one that only
+/// changes how the queue stores or drops cancelled entries does not.
 class DigestObserver final : public des::SimObserver {
  public:
   void on_fire(double time, des::EventId id, std::uint64_t tag) override {

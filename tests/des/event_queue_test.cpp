@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <string>
 #include <vector>
@@ -217,6 +218,45 @@ TEST(CalendarQueue, BucketResizeMidRunIsDeterministic) {
   EXPECT_EQ(first, second);
   // And the heap backend agrees on the same script.
   EXPECT_EQ(run_once(QueueBackend::kHeap), first);
+}
+
+TEST(CalendarQueue, DropDeadRebuildsAtThePolicyBucketCount) {
+  // Compaction leaves the survivors within the resize policy's band
+  // [buckets/2, 2 x buckets], so the calendar shrinks with them, and they
+  // still pop in (time, id) order.
+  CalendarEventQueue q;
+  EventArena arena;
+  std::vector<std::uint64_t> survivors;
+  for (std::uint64_t id = 1; id <= 20000; ++id) {
+    q.push(static_cast<double>((id * 7919) % 4000) * 0.25, id);
+    arena.create(id, [] {}, 0);
+  }
+  const std::size_t peak_buckets = q.bucket_count();
+  for (std::uint64_t id = 1; id <= 20000; ++id) {
+    std::uint64_t tag = 0;
+    if (id % 50 == 0) {
+      survivors.push_back(id);
+    } else {
+      (void)arena.take(id, tag);
+    }
+  }
+  q.drop_dead(arena);
+  EXPECT_EQ(q.size(), survivors.size());
+  EXPECT_LT(q.bucket_count(), peak_buckets);
+  EXPECT_GE(q.size(), q.bucket_count() / 2);
+  EXPECT_LE(q.size(), 2 * q.bucket_count());
+  std::vector<std::uint64_t> popped;
+  double last = -1.0;
+  std::uint64_t last_id = 0;
+  while (const QueuedEvent* top = q.peek()) {
+    ASSERT_TRUE(top->time > last || (top->time == last && top->id > last_id));
+    last = top->time;
+    last_id = top->id;
+    popped.push_back(top->id);
+    q.pop();
+  }
+  std::sort(popped.begin(), popped.end());
+  EXPECT_EQ(popped, survivors);
 }
 
 TEST(CalendarQueue, SparseFarFutureTailUsesDirectScanCorrectly) {

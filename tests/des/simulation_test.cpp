@@ -193,8 +193,37 @@ TEST(Simulation, CancelStormShrinksCallbackTable) {
   EXPECT_EQ(sim.pending_count(), 10u);
   EXPECT_LT(sim.callback_buckets(), 1024u);
   EXPECT_LT(sim.callback_buckets(), peak / 64);
+  // The queue drops the dead entries too, instead of holding all 99,990
+  // until the clock reaches them.
+  EXPECT_LE(sim.queued_entries(),
+            2 * sim.pending_count() + Simulation::kCompactionFloor);
   // The surviving events still fire normally after the rehash.
   EXPECT_EQ(sim.run(), 10u);
+}
+
+TEST(Simulation, CompactionInsideCallbackKeepsFireOrder) {
+  // A callback that cancels enough to compact the queue runs while step()
+  // is mid-fire; the events around it must still fire in (time, id) order.
+  for (const QueueBackend backend :
+       {QueueBackend::kHeap, QueueBackend::kCalendar}) {
+    Simulation sim(Simulation::Options{backend});
+    std::vector<int> order;
+    std::vector<EventId> doomed;
+    sim.schedule_at(1.0, [&] {
+      order.push_back(1);
+      for (const EventId id : doomed) sim.cancel(id);
+      sim.schedule_at(1.0, [&] { order.push_back(2); });
+    });
+    sim.schedule_at(1.0, [&] { order.push_back(3); });
+    for (int i = 0; i < 5000; ++i) {
+      doomed.push_back(sim.schedule_at(1e4 + i, [&] { order.push_back(-1); }));
+    }
+    sim.schedule_at(2.0, [&] { order.push_back(4); });
+    EXPECT_EQ(sim.run(), 4u);
+    EXPECT_EQ(order, (std::vector<int>{1, 3, 2, 4}));
+    EXPECT_EQ(sim.events_cancelled(), 5000u);
+    EXPECT_EQ(sim.queued_entries(), 0u);
+  }
 }
 
 TEST(Simulation, DrainByFiringAlsoShrinksCallbackTable) {
