@@ -1,11 +1,11 @@
 /// \file micro_runner.cpp
 /// Microbenchmark of replication execution strategies: the old
 /// thread-per-replication std::async fan-out versus the bounded
-/// work-stealing pool (util::TaskRunner) that cluster::replicate and the
-/// experiment engine now use. Reports distinct worker threads observed and
-/// wall time per round, and fails (exit 1) if the pooled strategy violates
-/// its thread bound — the property the engine's "--jobs N means at most
-/// N + constant threads" contract rests on.
+/// work-stealing pool (util::TaskRunner) that the experiment engine now
+/// uses. Reports distinct worker threads observed and wall time per round,
+/// and fails (exit 1) if the pooled strategy violates its thread bound —
+/// the property the engine's "--jobs N means at most N + constant threads"
+/// contract rests on.
 
 #include <chrono>
 #include <cstdio>
@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
   flags.parse(argc, argv);
 
   // A small but real workload: each replication runs an open cluster
-  // experiment (the same unit of work cluster::replicate parallelizes).
+  // experiment (the unit of work a replicated sweep parallelizes).
   ll::trace::CoarseGenConfig gen;
   gen.duration = 4.0 * 3600.0;
   gen.start_hour = 9.0;

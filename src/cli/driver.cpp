@@ -18,13 +18,12 @@
 #include "obs/profiler.hpp"
 #include "obs/timeline.hpp"
 #include "obs/tracer.hpp"
-#include "serve/scenario.hpp"
 #include "serve/server.hpp"
-#include "shard/experiment.hpp"
 #include "verify/scenarios.hpp"
 #include "exp/engine.hpp"
 #include "exp/pool_cache.hpp"
 #include "exp/registry.hpp"
+#include "exp/scenario.hpp"
 #include "exp/spec.hpp"
 #include "trace/coarse_analysis.hpp"
 #include "trace/coarse_generator.hpp"
@@ -68,7 +67,7 @@ std::vector<const char*> to_argv(const std::vector<std::string>& args) {
 }
 
 /// Loads every .coarse file in a directory, sorted by name for determinism.
-std::vector<trace::CoarseTrace> load_trace_dir(const std::string& dir) {
+exp::TracePoolCache::PoolPtr load_trace_dir(const std::string& dir) {
   std::vector<fs::path> paths;
   for (const auto& entry : fs::directory_iterator(dir)) {
     if (entry.is_regular_file() && entry.path().extension() == ".coarse") {
@@ -76,10 +75,10 @@ std::vector<trace::CoarseTrace> load_trace_dir(const std::string& dir) {
     }
   }
   std::sort(paths.begin(), paths.end());
-  std::vector<trace::CoarseTrace> pool;
-  pool.reserve(paths.size());
-  for (const fs::path& p : paths) pool.push_back(trace::load_coarse(p.string()));
-  if (pool.empty()) {
+  auto pool = std::make_shared<std::vector<trace::CoarseTrace>>();
+  pool->reserve(paths.size());
+  for (const fs::path& p : paths) pool->push_back(trace::load_coarse(p.string()));
+  if (pool->empty()) {
     throw std::runtime_error("no .coarse traces found in " + dir);
   }
   return pool;
@@ -91,10 +90,7 @@ std::vector<trace::CoarseTrace> load_trace_dir(const std::string& dir) {
 exp::TracePoolCache::PoolPtr pool_from_flags(const std::string& dir,
                                              std::int64_t machines,
                                              double days, std::uint64_t seed) {
-  if (!dir.empty()) {
-    return std::make_shared<const std::vector<trace::CoarseTrace>>(
-        load_trace_dir(dir));
-  }
+  if (!dir.empty()) return load_trace_dir(dir);
   return exp::TracePoolCache::shared().standard(
       static_cast<std::size_t>(machines), days * 24.0, seed);
 }
@@ -122,93 +118,71 @@ des::QueueBackend parse_queue_flag(std::string_view subcommand,
 
 // ---- observability helpers ------------------------------------------------
 
-/// One fully instrumented cluster run: metrics registry, event-loop
-/// profiler (with named tags) and optional timeline all attached via the
-/// experiment driver's RunHooks, snapshots taken while the simulator is
-/// still alive.
-struct ClusterObsRun {
-  cluster::ClusterReport report;
-  std::vector<obs::MetricSample> metrics;
-  obs::ProfileSnapshot profile;
-  std::string profile_table;
-};
-
-ClusterObsRun run_cluster_instrumented(const cluster::ExperimentConfig& cfg,
-                                       std::span<const trace::CoarseTrace> pool,
-                                       const workload::BurstTable& table,
-                                       double closed_duration,
-                                       obs::Timeline* timeline) {
-  obs::MetricRegistry registry;
-  obs::EventLoopProfiler profiler;
-  profiler.name_tag(cluster::ClusterSim::kTagTick, "tick");
-  profiler.name_tag(cluster::ClusterSim::kTagCompletion, "completion");
-  profiler.name_tag(cluster::ClusterSim::kTagRecheck, "recheck");
-  profiler.name_tag(cluster::ClusterSim::kTagMigration, "migration");
-  profiler.name_tag(cluster::ClusterSim::kTagFault, "fault");
-  profiler.name_tag(cluster::ClusterSim::kTagCheckpoint, "checkpoint");
-
-  ClusterObsRun result;
-  cluster::RunHooks hooks;
-  hooks.on_start = [&](cluster::ClusterSim& sim) {
-    sim.set_metrics(&registry);
-    if (timeline) sim.set_timeline(timeline);
-    sim.set_sim_observer(&profiler);
-  };
-  hooks.on_finish = [&](cluster::ClusterSim& sim) {
-    // require_conserved: a profiled run double-checks the engine's event
-    // conservation invariant (scheduled == fired + cancelled + pending).
-    result.profile =
-        profiler.snapshot(sim.engine(), /*require_conserved=*/true);
-    result.profile_table = profiler.render_table(sim.engine());
-    result.metrics = registry.snapshot(sim.now());
-    sim.set_sim_observer(nullptr);
-    sim.set_metrics(nullptr);
-    sim.set_timeline(nullptr);
-  };
-  result.report =
-      closed_duration > 0.0
-          ? cluster::run_closed(cfg, pool, table, closed_duration, &hooks)
-          : cluster::run_open(cfg, pool, table, nullptr, &hooks);
-  return result;
+/// Names the cluster engines' event tags on a profiler or tracing observer.
+template <class Target>
+void name_cluster_tags(Target& target) {
+  target.name_tag(cluster::ClusterSim::kTagTick, "tick");
+  target.name_tag(cluster::ClusterSim::kTagCompletion, "completion");
+  target.name_tag(cluster::ClusterSim::kTagRecheck, "recheck");
+  target.name_tag(cluster::ClusterSim::kTagMigration, "migration");
+  target.name_tag(cluster::ClusterSim::kTagFault, "fault");
+  target.name_tag(cluster::ClusterSim::kTagCheckpoint, "checkpoint");
 }
 
-/// One fully instrumented sharded run: shard.* metrics plus the barrier /
-/// mailbox accounting for the manifest's "shards" section. Windows execute
-/// on the shared work-stealing runner (top-level call, so nesting is not a
-/// concern).
-struct ShardObsRun {
-  cluster::ClusterReport report;
-  std::vector<obs::MetricSample> metrics;
-  shard::ShardStats stats;
-  double window = 0.0;
-};
+/// Instruments one cluster run on either engine and records it into
+/// `manifest` while the simulator is still alive. Both engines get a
+/// metrics registry. The monolithic engine also gets the event-loop
+/// profiler (with named tags) and an optional timeline; the sharded one
+/// reports its barrier/mailbox accounting as the manifest's "shards"
+/// section.
+class RunInstruments {
+ public:
+  RunInstruments(obs::RunManifest& manifest, obs::Timeline* timeline) {
+    name_cluster_tags(profiler_);
+    hooks_.monolithic.on_start = [this, timeline](cluster::ClusterSim& sim) {
+      sim.set_metrics(&registry_);
+      if (timeline) sim.set_timeline(timeline);
+      sim.set_sim_observer(&profiler_);
+    };
+    hooks_.monolithic.on_finish = [this, &manifest](cluster::ClusterSim& sim) {
+      // require_conserved: a profiled run double-checks the engine's event
+      // conservation invariant (scheduled == fired + cancelled + pending).
+      manifest.profile =
+          profiler_.snapshot(sim.engine(), /*require_conserved=*/true);
+      profile_table = profiler_.render_table(sim.engine());
+      manifest.metrics = registry_.snapshot(sim.now());
+      sim.set_sim_observer(nullptr);
+      sim.set_metrics(nullptr);
+      sim.set_timeline(nullptr);
+    };
+    hooks_.sharded.on_start = [this](shard::ShardedClusterSim& sim) {
+      sim.set_metrics(&registry_);
+    };
+    hooks_.sharded.on_finish = [this, &manifest](shard::ShardedClusterSim& sim) {
+      manifest.metrics = registry_.snapshot(sim.now());
+      const shard::ShardStats& stats = sim.stats();
+      obs::ShardSection section;
+      section.count = stats.shards;
+      section.windows = stats.windows;
+      section.mailbox_sent = stats.mailbox_sent;
+      section.mailbox_delivered = stats.mailbox_delivered;
+      section.max_barrier_wait_ns = stats.max_barrier_wait_ns;
+      manifest.shards = section;
+      sim.set_metrics(nullptr);
+    };
+  }
+  RunInstruments(const RunInstruments&) = delete;
+  RunInstruments& operator=(const RunInstruments&) = delete;
 
-ShardObsRun run_sharded_instrumented(const cluster::ExperimentConfig& cfg,
-                                     std::size_t shards,
-                                     std::span<const trace::CoarseTrace> pool,
-                                     const workload::BurstTable& table,
-                                     double closed_duration) {
-  obs::MetricRegistry registry;
-  ShardObsRun result;
-  shard::RunHooks hooks;
-  hooks.on_start = [&](shard::ShardedClusterSim& sim) {
-    sim.set_metrics(&registry);
-  };
-  hooks.on_finish = [&](shard::ShardedClusterSim& sim) {
-    result.metrics = registry.snapshot(sim.now());
-    result.stats = sim.stats();
-    result.window = sim.window_length();
-    sim.set_metrics(nullptr);
-  };
-  util::TaskRunner* runner = &util::TaskRunner::shared();
-  result.report =
-      closed_duration > 0.0
-          ? shard::run_closed(cfg, shards, pool, table, closed_duration,
-                              runner, &hooks)
-          : shard::run_open(cfg, shards, pool, table, runner, nullptr,
-                            &hooks);
-  return result;
-}
+  [[nodiscard]] const exp::ClusterHooks& hooks() const { return hooks_; }
+
+  std::string profile_table;  ///< the profiler's table (monolithic runs)
+
+ private:
+  obs::MetricRegistry registry_;
+  obs::EventLoopProfiler profiler_;
+  exp::ClusterHooks hooks_;
+};
 
 void write_manifest_file(const obs::RunManifest& manifest,
                          const std::string& path) {
@@ -254,9 +228,9 @@ int cmd_analyze(const std::vector<std::string>& args, std::ostream& out) {
     throw std::invalid_argument("analyze: --dir is required\n" + flags.usage());
   }
   const auto pool = load_trace_dir(*dir);
-  const auto stats = trace::analyze_coarse(pool);
+  const auto stats = trace::analyze_coarse(*pool);
   util::Table table({"metric", "value"});
-  table.add_row({"traces", std::to_string(pool.size())});
+  table.add_row({"traces", std::to_string(pool->size())});
   table.add_row({"samples", std::to_string(stats.sample_count)});
   table.add_row({"non-idle fraction", util::percent(stats.nonidle_fraction, 1)});
   table.add_row({"non-idle below 10% cpu",
@@ -269,7 +243,7 @@ int cmd_analyze(const std::vector<std::string>& args, std::ostream& out) {
                  util::format("%.0f s", stats.mean_idle_episode)});
   table.add_row({"mean non-idle episode",
                  util::format("%.0f s", stats.mean_nonidle_episode)});
-  const auto mem = trace::memory_availability(pool);
+  const auto mem = trace::memory_availability(*pool);
   table.add_row({">= 14 MB free",
                  util::percent(
                      trace::fraction_with_at_least(mem.all_kb, 14 * 1024), 1)});
@@ -307,20 +281,27 @@ int cmd_fit(const std::vector<std::string>& args, std::ostream& out) {
 int cmd_cluster(const std::vector<std::string>& args, std::ostream& out) {
   util::Flags flags("llsim cluster",
                     "Run sequential foreign jobs under a scheduling policy.");
-  auto policy_name = flags.add_string("policy", "LL",
+  const exp::ClusterScenario defaults;
+  auto policy_name = flags.add_string("policy", core::to_string(defaults.policy),
                                       "LL, LF, IE, PM, or LL-oracle");
-  auto nodes = flags.add_int("nodes", 64, "cluster size");
-  auto jobs = flags.add_int("jobs", 128, "foreign jobs");
-  auto demand = flags.add_double("demand", 600.0, "CPU-seconds per job");
+  auto nodes = flags.add_int(
+      "nodes", static_cast<std::int64_t>(defaults.nodes), "cluster size");
+  auto jobs = flags.add_int("jobs", static_cast<std::int64_t>(defaults.jobs),
+                            "foreign jobs");
+  auto demand = flags.add_double("demand", defaults.demand,
+                                 "CPU-seconds per job");
   auto traces_dir = flags.add_string("traces", "", "trace directory (optional)");
-  auto machines = flags.add_int("machines", 32, "synthetic machines if no dir");
-  auto days = flags.add_double("days", 1.0, "synthetic trace days");
+  auto machines =
+      flags.add_int("machines", static_cast<std::int64_t>(defaults.machines),
+                    "synthetic machines if no dir");
+  auto days = flags.add_double("days", defaults.days, "synthetic trace days");
   auto table_path = flags.add_string("burst-table", "",
                                      "burst table file (default: built-in)");
-  auto closed = flags.add_double("closed", 0.0,
+  auto closed = flags.add_double("closed", defaults.closed,
                                  "if > 0: closed-system run of this many "
                                  "seconds (throughput mode)");
-  auto pause = flags.add_double("pause-time", 60.0, "PM grace period");
+  auto pause = flags.add_double("pause-time", defaults.pause,
+                                "PM grace period");
   auto job_log = flags.add_string("job-log", "",
                                   "write per-job state transitions as CSV "
                                   "(open mode only)");
@@ -328,8 +309,8 @@ int cmd_cluster(const std::vector<std::string>& args, std::ostream& out) {
       "metrics-out", "",
       "write a run manifest (JSON) from an instrumented re-run of the "
       "first replication");
-  auto seed = flags.add_uint64("seed", 42, "RNG seed");
-  auto reps = flags.add_int("reps", 1,
+  auto seed = flags.add_uint64("seed", defaults.seed, "RNG seed");
+  auto reps = flags.add_int("reps", static_cast<std::int64_t>(defaults.reps),
                             "replications (report means with 95% CIs)");
   auto workers = flags.add_int("workers", 0,
                                "worker threads (0 = hardware concurrency)");
@@ -345,127 +326,80 @@ int cmd_cluster(const std::vector<std::string>& args, std::ostream& out) {
   if (*shards < 0) {
     throw std::invalid_argument("cluster: --shards must be >= 0");
   }
-  const auto policy = parse_policy(*policy_name);
-  if (!policy) {
-    throw std::invalid_argument("cluster: unknown policy '" + *policy_name +
-                                "' (LL, LF, IE, PM, LL-oracle)");
-  }
-  const des::QueueBackend queue = parse_queue_flag("cluster", *queue_name);
-  const auto pool = pool_from_flags(*traces_dir, *machines, *days, *seed + 1);
+  exp::ClusterScenario sc;
+  sc.policy = core::parse_policy_name(*policy_name);
+  sc.nodes = static_cast<std::size_t>(*nodes);
+  sc.jobs = static_cast<std::size_t>(*jobs);
+  sc.demand = *demand;
+  sc.machines = static_cast<std::size_t>(*machines);
+  sc.days = *days;
+  sc.closed = *closed;
+  sc.pause = *pause;
+  sc.reps = static_cast<std::size_t>(*reps);
+  sc.seed = *seed;
+  exp::ClusterEngine engine;
+  engine.shards = static_cast<std::size_t>(*shards);
+  engine.queue = parse_queue_flag("cluster", *queue_name);
+  const auto pool = traces_dir->empty() ? sc.pool() : load_trace_dir(*traces_dir);
   const workload::BurstTable table = table_path->empty()
                                          ? workload::default_burst_table()
                                          : workload::load_table(*table_path);
 
-  cluster::ExperimentConfig cfg;
-  cfg.cluster.node_count = static_cast<std::size_t>(*nodes);
-  cfg.cluster.queue = queue;
-  cfg.cluster.policy = *policy;
-  cfg.cluster.policy_params.pause_time = *pause;
-  cfg.workload =
-      cluster::WorkloadSpec{static_cast<std::size_t>(*jobs), *demand};
-
-  // One-cell sweep on the engine: the same path `llsim bench` uses, so
-  // replication seeding, pooled execution and CI summaries come for free.
-  exp::ExperimentSpec spec;
-  spec.name = "cluster";
-  spec.seed = *seed;
-  spec.replications = static_cast<std::size_t>(*reps);
-  spec.axes = {"policy"};
-  const double closed_duration = *closed;
-  const auto shard_count = static_cast<std::size_t>(*shards);
-  // First-replication shard accounting for the report table (written once,
-  // keyed on the engine-derived seed; replications of one cell run
-  // sequentially, matching the mutable-cfg pattern below).
-  struct ShardRunInfo {
-    shard::ShardStats stats;
-    double window = 0.0;
+  // The sweep `llsim serve` and `llsim trace` run too. The first
+  // replication also reports its shard accounting for the table below.
+  const std::uint64_t first_seed = exp::replication_seed(sc.seed, 0, 0);
+  shard::ShardStats shard_stats;
+  double shard_window = 0.0;
+  const auto first_run_hooks = [&](std::uint64_t s) {
+    exp::ClusterHooks hooks;
+    if (s == first_seed) {
+      hooks.sharded.on_finish = [&](shard::ShardedClusterSim& sim) {
+        shard_stats = sim.stats();
+        shard_window = sim.window_length();
+      };
+    }
+    return hooks;
   };
-  auto shard_info = std::make_shared<ShardRunInfo>();
-  const std::uint64_t first_rep_seed = exp::replication_seed(*seed, 0, 0);
-  spec.add_cell(
-      {{"policy", std::string(core::to_string(*policy))}},
-      [cfg, pool, &table, closed_duration, shard_count, shard_info,
-       first_rep_seed](std::uint64_t s) mutable {
-        cfg.seed = s;
-        if (shard_count > 0) {
-          shard::RunHooks hooks;
-          hooks.on_finish = [&](shard::ShardedClusterSim& sim) {
-            if (s != first_rep_seed) return;
-            shard_info->stats = sim.stats();
-            shard_info->window = sim.window_length();
-          };
-          if (closed_duration > 0.0) {
-            return exp::closed_metrics(
-                shard::run_closed(cfg, shard_count, *pool, table,
-                                  closed_duration, nullptr, &hooks));
-          }
-          return exp::open_metrics(shard::run_open(
-              cfg, shard_count, *pool, table, nullptr, nullptr, &hooks));
-        }
-        if (closed_duration > 0.0) {
-          return exp::closed_metrics(
-              cluster::run_closed(cfg, *pool, table, closed_duration));
-        }
-        return exp::open_metrics(cluster::run_open(cfg, *pool, table));
-      });
   exp::EngineOptions options;
   options.jobs = static_cast<std::size_t>(*workers);
-  const exp::SweepResult sweep = exp::run_sweep(spec, options);
+  const exp::SweepResult sweep =
+      exp::run_sweep(sc.spec(engine, pool, table, first_run_hooks), options);
   const exp::CellResult& cell = sweep.cells.front();
-  const std::size_t n = spec.replications;
+  const std::size_t n = sc.reps;
   const auto mean = [&cell](std::string_view metric) {
     const auto* ci = cell.summary(metric);
     return ci ? ci->mean : 0.0;
   };
 
-  if (*closed <= 0.0 && !job_log->empty()) {
-    // The log is a per-job debugging feed, so it covers one run: the first
-    // replication, re-run with its engine-derived seed.
-    cfg.seed = exp::replication_seed(*seed, 0, 0);
+  // The job log and the manifest each document one concrete run: the first
+  // replication, re-run alone with its sweep-derived seed (top-level, so
+  // shard windows may use the shared runner).
+  exp::ClusterEngine rerun = engine;
+  rerun.runner = &util::TaskRunner::shared();
+  if (sc.closed <= 0.0 && !job_log->empty()) {
     cluster::JobStore job_records;
-    if (shard_count > 0) {
-      (void)shard::run_open(cfg, shard_count, *pool, table,
-                            &util::TaskRunner::shared(), &job_records);
-    } else {
-      (void)cluster::run_open(cfg, *pool, table, &job_records);
-    }
+    (void)sc.run_one(first_seed, rerun, *pool, table, nullptr, &job_records);
     cluster::write_job_log(job_records, *job_log);
     out << "wrote job log to " << *job_log << "\n";
   }
   if (!metrics_out->empty()) {
-    // Same pattern as --job-log: the manifest documents one concrete run,
-    // so it re-runs the first replication with its engine-derived seed.
-    cfg.seed = exp::replication_seed(*seed, 0, 0);
     obs::RunManifest manifest;
     manifest.tool = "llsim cluster";
     manifest.version = obs::current_git_describe();
-    manifest.seed = cfg.seed;
+    manifest.seed = first_seed;
     manifest.config = {
-        {"policy", std::string(core::to_string(*policy))},
+        {"policy", std::string(core::to_string(sc.policy))},
         {"nodes", std::to_string(*nodes)},
         {"jobs", std::to_string(*jobs)},
         {"demand", util::format("%g", *demand)},
         {"closed", util::format("%g", *closed)},
         {"master_seed", std::to_string(*seed)},
     };
-    if (shard_count > 0) {
-      manifest.config.emplace_back("shards", std::to_string(shard_count));
-      ShardObsRun obs_run = run_sharded_instrumented(cfg, shard_count, *pool,
-                                                     table, closed_duration);
-      obs::ShardSection section;
-      section.count = obs_run.stats.shards;
-      section.windows = obs_run.stats.windows;
-      section.mailbox_sent = obs_run.stats.mailbox_sent;
-      section.mailbox_delivered = obs_run.stats.mailbox_delivered;
-      section.max_barrier_wait_ns = obs_run.stats.max_barrier_wait_ns;
-      manifest.shards = section;
-      manifest.metrics = std::move(obs_run.metrics);
-    } else {
-      ClusterObsRun obs_run = run_cluster_instrumented(
-          cfg, *pool, table, closed_duration, /*timeline=*/nullptr);
-      manifest.metrics = std::move(obs_run.metrics);
-      manifest.profile = std::move(obs_run.profile);
+    if (engine.shards > 0) {
+      manifest.config.emplace_back("shards", std::to_string(engine.shards));
     }
+    RunInstruments instruments(manifest, /*timeline=*/nullptr);
+    (void)sc.run_one(first_seed, rerun, *pool, table, &instruments.hooks());
     write_manifest_file(manifest, *metrics_out);
     out << "wrote run manifest to " << *metrics_out << "\n";
   }
@@ -475,27 +409,26 @@ int cmd_cluster(const std::vector<std::string>& args, std::ostream& out) {
   }
 
   util::Table report({"metric", "value"});
-  report.add_row({"policy", std::string(core::to_string(*policy))});
-  if (shard_count > 0) {
-    report.add_row({"shards", std::to_string(shard_count)});
-    report.add_row({"window (s)", util::format("%g", shard_info->window)});
+  report.add_row({"policy", std::string(core::to_string(sc.policy))});
+  if (engine.shards > 0) {
+    report.add_row({"shards", std::to_string(engine.shards)});
+    report.add_row({"window (s)", util::format("%g", shard_window)});
+    report.add_row({"windows run", std::to_string(shard_stats.windows)});
     report.add_row(
-        {"windows run", std::to_string(shard_info->stats.windows)});
-    report.add_row({"mailbox sent / delivered",
-                    util::format("%llu / %llu",
-                                 static_cast<unsigned long long>(
-                                     shard_info->stats.mailbox_sent),
-                                 static_cast<unsigned long long>(
-                                     shard_info->stats.mailbox_delivered))});
-    report.add_row({"max barrier wait (us)",
-                    util::format("%.1f",
-                                 static_cast<double>(
-                                     shard_info->stats.max_barrier_wait_ns) /
-                                     1e3)});
+        {"mailbox sent / delivered",
+         util::format(
+             "%llu / %llu",
+             static_cast<unsigned long long>(shard_stats.mailbox_sent),
+             static_cast<unsigned long long>(shard_stats.mailbox_delivered))});
+    report.add_row(
+        {"max barrier wait (us)",
+         util::format("%.1f",
+                      static_cast<double>(shard_stats.max_barrier_wait_ns) /
+                          1e3)});
   }
   if (n > 1) report.add_row({"replications", std::to_string(n)});
-  if (*closed > 0.0) {
-    report.add_row({"mode", util::format("closed (%.0f s)", *closed)});
+  if (sc.closed > 0.0) {
+    report.add_row({"mode", util::format("closed (%.0f s)", sc.closed)});
     std::string throughput = util::fixed(mean("throughput"), 2);
     if (n > 1) {
       throughput +=
@@ -659,23 +592,29 @@ int cmd_profile(const std::vector<std::string>& args, std::ostream& out) {
       "llsim profile",
       "Run one instrumented cluster simulation and report where it goes: "
       "per-tag event-loop profile, sim-time metrics, optional timeline.");
-  auto policy_name = flags.add_string("policy", "LL",
+  const exp::ClusterScenario defaults;
+  auto policy_name = flags.add_string("policy", core::to_string(defaults.policy),
                                       "LL, LF, IE, PM, or LL-oracle");
-  auto nodes = flags.add_int("nodes", 64, "cluster size");
-  auto jobs = flags.add_int("jobs", 128, "foreign jobs");
-  auto demand = flags.add_double("demand", 600.0, "CPU-seconds per job");
-  auto closed = flags.add_double("closed", 0.0,
+  auto nodes = flags.add_int(
+      "nodes", static_cast<std::int64_t>(defaults.nodes), "cluster size");
+  auto jobs = flags.add_int("jobs", static_cast<std::int64_t>(defaults.jobs),
+                            "foreign jobs");
+  auto demand = flags.add_double("demand", defaults.demand,
+                                 "CPU-seconds per job");
+  auto closed = flags.add_double("closed", defaults.closed,
                                  "if > 0: closed-system run of this many "
                                  "seconds");
   auto traces_dir = flags.add_string("traces", "", "trace directory (optional)");
-  auto machines = flags.add_int("machines", 32, "synthetic machines if no dir");
-  auto days = flags.add_double("days", 1.0, "synthetic trace days");
+  auto machines =
+      flags.add_int("machines", static_cast<std::int64_t>(defaults.machines),
+                    "synthetic machines if no dir");
+  auto days = flags.add_double("days", defaults.days, "synthetic trace days");
   auto timeline_cap = flags.add_int(
       "timeline", 0,
       "if > 0: record the last N job/node state transitions and print them");
   auto metrics_out = flags.add_string("metrics-out", "",
                                       "also write a run manifest (JSON)");
-  auto seed = flags.add_uint64("seed", 42, "RNG seed");
+  auto seed = flags.add_uint64("seed", defaults.seed, "RNG seed");
   auto json = flags.add_bool("json", false,
                              "emit the manifest JSON to stdout instead of "
                              "tables");
@@ -683,47 +622,44 @@ int cmd_profile(const std::vector<std::string>& args, std::ostream& out) {
   auto argv = to_argv(args);
   flags.parse(static_cast<int>(argv.size()), argv.data());
 
-  const auto policy = parse_policy(*policy_name);
-  if (!policy) {
-    throw std::invalid_argument("profile: unknown policy '" + *policy_name +
-                                "' (LL, LF, IE, PM, LL-oracle)");
-  }
-  const auto pool = pool_from_flags(*traces_dir, *machines, *days, *seed + 1);
-
-  cluster::ExperimentConfig cfg;
-  cfg.cluster.node_count = static_cast<std::size_t>(*nodes);
-  cfg.cluster.queue = parse_queue_flag("profile", *queue_name);
-  cfg.cluster.policy = *policy;
-  cfg.workload =
-      cluster::WorkloadSpec{static_cast<std::size_t>(*jobs), *demand};
-  cfg.seed = *seed;
+  exp::ClusterScenario sc;
+  sc.policy = core::parse_policy_name(*policy_name);
+  sc.nodes = static_cast<std::size_t>(*nodes);
+  sc.jobs = static_cast<std::size_t>(*jobs);
+  sc.demand = *demand;
+  sc.machines = static_cast<std::size_t>(*machines);
+  sc.days = *days;
+  sc.closed = *closed;
+  sc.seed = *seed;
+  exp::ClusterEngine engine;
+  engine.queue = parse_queue_flag("profile", *queue_name);
+  const auto pool = traces_dir->empty() ? sc.pool() : load_trace_dir(*traces_dir);
 
   std::optional<obs::Timeline> timeline;
   if (*timeline_cap > 0) {
     timeline.emplace(static_cast<std::size_t>(*timeline_cap));
   }
-  const auto wall_start = std::chrono::steady_clock::now();
-  ClusterObsRun run = run_cluster_instrumented(
-      cfg, *pool, workload::default_burst_table(), *closed,
-      timeline ? &*timeline : nullptr);
-  const double run_wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-
   obs::RunManifest manifest;
   manifest.tool = "llsim profile";
   manifest.version = obs::current_git_describe();
   manifest.seed = *seed;
   manifest.config = {
-      {"policy", std::string(core::to_string(*policy))},
+      {"policy", std::string(core::to_string(sc.policy))},
       {"nodes", std::to_string(*nodes)},
       {"jobs", std::to_string(*jobs)},
       {"demand", util::format("%g", *demand)},
       {"closed", util::format("%g", *closed)},
   };
-  manifest.metrics = run.metrics;
-  manifest.profile = run.profile;
+  RunInstruments instruments(manifest, timeline ? &*timeline : nullptr);
+  const auto wall_start = std::chrono::steady_clock::now();
+  (void)sc.run_one(sc.seed, engine, *pool, workload::default_burst_table(),
+                   &instruments.hooks());
+  const double run_wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    wall_start)
+          .count();
+  const obs::ProfileSnapshot& profile = *manifest.profile;
+
   if (timeline) {
     obs::TraceStats trace_stats;
     trace_stats.timeline_recorded = timeline->total_recorded();
@@ -743,30 +679,30 @@ int cmd_profile(const std::vector<std::string>& args, std::ostream& out) {
       << (*closed > 0.0 ? util::format(", closed %.0f s", *closed)
                         : std::string(", open"))
       << "):\n"
-      << run.profile_table << "\n";
+      << instruments.profile_table << "\n";
   // Wall-clock bracket of the whole run vs the callback share the profiler
   // attributed — the difference is engine/queue overhead plus setup.
   util::Table wall_table({"wall clock", "value"});
   wall_table.add_row({"run total (ms)", util::format("%.2f", run_wall * 1e3)});
   wall_table.add_row({"event callbacks (ms)",
-                      util::format("%.2f", run.profile.total_wall_seconds *
+                      util::format("%.2f", profile.total_wall_seconds *
                                                1e3)});
   wall_table.add_row(
       {"callback share",
        util::percent(run_wall > 0.0
-                         ? run.profile.total_wall_seconds / run_wall
+                         ? profile.total_wall_seconds / run_wall
                          : 0.0,
                      1)});
   wall_table.add_row(
       {"events per wall second",
        util::format("%.0f",
                     run_wall > 0.0
-                        ? static_cast<double>(run.profile.total_fired) /
+                        ? static_cast<double>(profile.total_fired) /
                               run_wall
                         : 0.0)});
   out << wall_table.render() << "\n";
   util::Table metrics_table({"metric", "kind", "value", "mean"});
-  for (const obs::MetricSample& s : run.metrics) {
+  for (const obs::MetricSample& s : manifest.metrics) {
     metrics_table.add_row(
         {s.name, std::string(obs::to_string(s.kind)),
          util::format("%.6g", s.value),
@@ -860,83 +796,57 @@ int cmd_trace(const std::vector<std::string>& args, std::ostream& out) {
         << ", " << result.events << " events, " << result.checks
         << " invariant checks\n";
   } else {
-    // Sweep mode: a one-cell cluster sweep on the experiment engine with
-    // every instrumented layer attached — per-tag fire spans chained after
-    // the event-loop profiler, cluster virtual-time spans, per-cell spans,
-    // and the work-stealing runner's batch/steal/suspend spans.
-    const auto policy = parse_policy(*policy_name);
-    if (!policy) {
-      throw std::invalid_argument("trace: unknown policy '" + *policy_name +
-                                  "' (LL, LF, IE, PM, LL-oracle)");
-    }
-    const auto pool = pool_from_flags("", *machines, *days, *seed + 1);
-    const workload::BurstTable& table = workload::default_burst_table();
-
-    cluster::ExperimentConfig cfg;
-    cfg.cluster.node_count = static_cast<std::size_t>(*nodes);
-    cfg.cluster.queue = parse_queue_flag("trace", *queue_name);
-    cfg.cluster.policy = *policy;
-    cfg.workload =
-        cluster::WorkloadSpec{static_cast<std::size_t>(*jobs), *demand};
-
-    exp::ExperimentSpec spec;
-    spec.name = "trace";
-    spec.seed = *seed;
-    spec.replications = static_cast<std::size_t>(*reps);
-    spec.axes = {"policy"};
-    const auto trace_shards = static_cast<std::size_t>(*shards);
-    spec.add_cell(
-        {{"policy", std::string(core::to_string(*policy))}},
-        [cfg, pool, &table, &tracer, trace_shards](std::uint64_t s) mutable {
-          cfg.seed = s;
-          if (trace_shards > 0) {
-            // Sharded engine: shard:<k> wall spans per window advance plus
-            // shard.barrier instants (arg = imbalance wait ns).
-            shard::RunHooks hooks;
-            hooks.on_start = [&](shard::ShardedClusterSim& sim) {
-              sim.set_tracer(&tracer);
-            };
-            hooks.on_finish = [&](shard::ShardedClusterSim& sim) {
-              sim.set_tracer(nullptr);
-            };
-            return exp::open_metrics(shard::run_open(
-                cfg, trace_shards, *pool, table, nullptr, nullptr, &hooks));
-          }
-          // Per-replication observer chain, thread-confined to this task:
-          // tracer spans in front, profiler behind (per the obs layering),
-          // both detached before the simulator dies.
-          obs::EventLoopProfiler profiler;
-          obs::TracingObserver observer(&tracer, &profiler);
-          const auto name_tags = [&](auto& target) {
-            target.name_tag(cluster::ClusterSim::kTagTick, "tick");
-            target.name_tag(cluster::ClusterSim::kTagCompletion, "completion");
-            target.name_tag(cluster::ClusterSim::kTagRecheck, "recheck");
-            target.name_tag(cluster::ClusterSim::kTagMigration, "migration");
-            target.name_tag(cluster::ClusterSim::kTagFault, "fault");
-            target.name_tag(cluster::ClusterSim::kTagCheckpoint, "checkpoint");
-          };
-          name_tags(profiler);
-          name_tags(observer);
-          cluster::RunHooks hooks;
-          hooks.on_start = [&](cluster::ClusterSim& sim) {
-            sim.set_tracer(&tracer);
-            sim.set_sim_observer(&observer);
-          };
-          hooks.on_finish = [&](cluster::ClusterSim& sim) {
-            sim.set_sim_observer(nullptr);
-            sim.set_tracer(nullptr);
-          };
-          return exp::open_metrics(
-              cluster::run_open(cfg, *pool, table, nullptr, &hooks));
-        });
+    // Sweep mode: the `llsim cluster` sweep with every instrumented layer
+    // attached — per-tag fire spans and cluster virtual-time spans (or
+    // shard:<k> window spans and shard.barrier instants on the sharded
+    // engine), per-cell spans, and the work-stealing runner's
+    // batch/steal/suspend spans.
+    exp::ClusterScenario sc;
+    sc.policy = core::parse_policy_name(*policy_name);
+    sc.nodes = static_cast<std::size_t>(*nodes);
+    sc.jobs = static_cast<std::size_t>(*jobs);
+    sc.demand = *demand;
+    sc.machines = static_cast<std::size_t>(*machines);
+    sc.days = *days;
+    sc.reps = static_cast<std::size_t>(*reps);
+    sc.seed = *seed;
+    exp::ClusterEngine engine;
+    engine.shards = static_cast<std::size_t>(*shards);
+    engine.queue = parse_queue_flag("trace", *queue_name);
+    const auto traced_run = [&tracer](std::uint64_t) {
+      // Per-replication fire-span observer, confined to the task running
+      // it and detached before the simulator dies.
+      auto observer = std::make_shared<obs::TracingObserver>(&tracer);
+      name_cluster_tags(*observer);
+      exp::ClusterHooks hooks;
+      hooks.monolithic.on_start = [&tracer,
+                                   observer](cluster::ClusterSim& sim) {
+        sim.set_tracer(&tracer);
+        sim.set_sim_observer(observer.get());
+      };
+      hooks.monolithic.on_finish = [](cluster::ClusterSim& sim) {
+        sim.set_sim_observer(nullptr);
+        sim.set_tracer(nullptr);
+      };
+      hooks.sharded.on_start = [&tracer](shard::ShardedClusterSim& sim) {
+        sim.set_tracer(&tracer);
+      };
+      hooks.sharded.on_finish = [](shard::ShardedClusterSim& sim) {
+        sim.set_tracer(nullptr);
+      };
+      return hooks;
+    };
     exp::EngineOptions options;
     options.jobs = static_cast<std::size_t>(*workers);
     options.tracer = &tracer;
     // run_sweep destroys its local runner before returning, so the tracer
     // is quiescent here and safe to export.
-    (void)exp::run_sweep(spec, options);
+    (void)exp::run_sweep(
+        sc.spec(engine, sc.pool(), workload::default_burst_table(),
+                traced_run),
+        options);
     config = {
-        {"policy", std::string(core::to_string(*policy))},
+        {"policy", std::string(core::to_string(sc.policy))},
         {"nodes", std::to_string(*nodes)},
         {"jobs", std::to_string(*jobs)},
         {"reps", std::to_string(*reps)},
@@ -1012,17 +922,13 @@ int cmd_faults(const std::vector<std::string>& args, std::ostream& out) {
   auto argv = to_argv(args);
   flags.parse(static_cast<int>(argv.size()), argv.data());
 
-  const auto policy = parse_policy(*policy_name);
-  if (!policy) {
-    throw std::invalid_argument("faults: unknown policy '" + *policy_name +
-                                "' (LL, LF, IE, PM, LL-oracle)");
-  }
+  const core::PolicyKind policy = core::parse_policy_name(*policy_name);
   const auto pool = pool_from_flags(*traces_dir, *machines, *days, *seed + 1);
 
   cluster::ExperimentConfig cfg;
   cfg.cluster.node_count = static_cast<std::size_t>(*nodes);
   cfg.cluster.queue = parse_queue_flag("faults", *queue_name);
-  cfg.cluster.policy = *policy;
+  cfg.cluster.policy = policy;
   cfg.workload =
       cluster::WorkloadSpec{static_cast<std::size_t>(*jobs), *demand};
   cfg.seed = *seed;
@@ -1067,7 +973,7 @@ int cmd_faults(const std::vector<std::string>& args, std::ostream& out) {
                               nullptr, &hooks);
 
   util::Table table({"metric", "value"});
-  table.add_row({"policy", std::string(core::to_string(*policy))});
+  table.add_row({"policy", std::string(core::to_string(policy))});
   table.add_row({"mode", *closed > 0.0
                              ? util::format("closed (%.0f s)", *closed)
                              : std::string("open (family)")});
@@ -1092,7 +998,7 @@ int cmd_faults(const std::vector<std::string>& args, std::ostream& out) {
     manifest.version = obs::current_git_describe();
     manifest.seed = *seed;
     manifest.config = {
-        {"policy", std::string(core::to_string(*policy))},
+        {"policy", std::string(core::to_string(policy))},
         {"nodes", std::to_string(*nodes)},
         {"jobs", std::to_string(*jobs)},
         {"demand", util::format("%g", *demand)},
@@ -1208,15 +1114,6 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out) {
 
 }  // namespace
 
-std::optional<core::PolicyKind> parse_policy(std::string_view name) {
-  if (name == "LL") return core::PolicyKind::LingerLonger;
-  if (name == "LF") return core::PolicyKind::LingerForever;
-  if (name == "IE") return core::PolicyKind::ImmediateEviction;
-  if (name == "PM") return core::PolicyKind::PauseAndMigrate;
-  if (name == "LL-oracle") return core::PolicyKind::OracleLinger;
-  return std::nullopt;
-}
-
 std::optional<parallel::WidthPolicy> parse_width_policy(std::string_view name) {
   if (name == "reconfigure") return parallel::WidthPolicy::Reconfigure;
   if (name == "fixed-linger") return parallel::WidthPolicy::FixedLinger;
@@ -1243,10 +1140,7 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
     if (cmd == "trace") return cmd_trace(rest, out);
     if (cmd == "faults") return cmd_faults(rest, out);
     if (cmd == "serve") return cmd_serve(rest, out);
-    if (cmd == "bench") {
-      serve::register_serve_benches();
-      return exp::run_bench_cli(rest, out, err);
-    }
+    if (cmd == "bench") return exp::run_bench_cli(rest, out, err);
     err << "llsim: unknown subcommand '" << cmd << "'\n\n" << kUsage;
     return 2;
   } catch (const std::exception& e) {

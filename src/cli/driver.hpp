@@ -22,7 +22,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/policy.hpp"
 #include "parallel/parallel_cluster.hpp"
 
 namespace ll::cli {
@@ -31,9 +30,6 @@ namespace ll::cli {
 /// Output goes to `out`, diagnostics to `err`. Returns a process exit code.
 int run_cli(const std::vector<std::string>& args, std::ostream& out,
             std::ostream& err);
-
-/// Parses a sequential-policy name ("LL", "LF", "IE", "PM", "LL-oracle").
-[[nodiscard]] std::optional<core::PolicyKind> parse_policy(std::string_view name);
 
 /// Parses a parallel width-policy name.
 [[nodiscard]] std::optional<parallel::WidthPolicy> parse_width_policy(

@@ -100,6 +100,23 @@ struct ClusterConfig {
   fault::CheckpointConfig checkpoint;
 };
 
+/// What both cluster engines derive from the trace pool before placing
+/// nodes.
+struct PoolDerived {
+  double period = 0.0;  ///< the sample period every trace shares
+  /// Per pool entry: the recruitment rule's idle flag of each sample.
+  std::vector<std::vector<bool>> idle_flags;
+  /// "l" for the linger cost model: the configured estimate when it is
+  /// >= 0, else the mean CPU over every idle sample in the pool (summed in
+  /// pool order), else 0.05 when no sample is idle.
+  double idle_utilization = 0.05;
+};
+
+/// Checks the pool (non-empty, no empty trace, one shared period; throws
+/// std::invalid_argument) and derives PoolDerived under `config`.
+[[nodiscard]] PoolDerived derive_pool(std::span<const trace::CoarseTrace> pool,
+                                      const ClusterConfig& config);
+
 class ClusterSim {
  public:
   /// The trace pool must be non-empty and share one sample period; nodes

@@ -1,5 +1,6 @@
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "core/policy.hpp"
 
@@ -123,6 +124,17 @@ std::string_view to_string(PolicyKind kind) {
       return "LL-oracle";
   }
   throw std::logic_error("to_string: unknown PolicyKind");
+}
+
+PolicyKind parse_policy_name(std::string_view name) {
+  for (const PolicyKind kind :
+       {PolicyKind::LingerLonger, PolicyKind::LingerForever,
+        PolicyKind::ImmediateEviction, PolicyKind::PauseAndMigrate,
+        PolicyKind::OracleLinger}) {
+    if (to_string(kind) == name) return kind;
+  }
+  throw std::invalid_argument("unknown policy '" + std::string(name) +
+                              "' (LL, LF, IE, PM, LL-oracle)");
 }
 
 std::unique_ptr<Policy> make_policy(PolicyKind kind, const PolicyParams& params) {

@@ -40,6 +40,11 @@ enum class PolicyKind {
 
 [[nodiscard]] std::string_view to_string(PolicyKind kind);
 
+/// Parses a policy name as to_string prints it (LL, LF, IE, PM, LL-oracle),
+/// the one parser behind llsim's --policy flags and serve's "policy" key.
+/// Throws std::invalid_argument on an unknown name.
+[[nodiscard]] PolicyKind parse_policy_name(std::string_view name);
+
 /// Inputs to a policy decision about one job on one non-idle node.
 struct PolicyContext {
   /// How long the node's current non-idle episode has lasted (seconds).

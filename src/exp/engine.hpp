@@ -10,7 +10,7 @@
 /// slot, so the assembled SweepResult — and therefore every sink's output —
 /// is bit-identical for any `jobs` value. Thread count is bounded by the
 /// runner: `jobs` workers total (the calling thread included), not one
-/// thread per replication as the old cluster::replicate spawned.
+/// thread per replication.
 
 #include <cstddef>
 

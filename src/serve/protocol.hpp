@@ -21,8 +21,9 @@
 /// The sweep result rides as an escaped *string*, not an embedded object:
 /// exp::to_json is multi-line by contract (its bytes are the determinism
 /// artifact golden tests pin), and NDJSON framing requires one line per
-/// response. Clients unescape the string to recover the exact offline
-/// bytes — tests/serve/ proves equality with `llsim bench serve_offline`.
+/// response. Clients unescape the string to recover the exact bytes
+/// `llsim cluster --json` prints for the same fields (one code path,
+/// exp::ClusterScenario; tests/cli and tests/serve pin it).
 
 #include <cstdint>
 #include <stdexcept>

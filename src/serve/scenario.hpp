@@ -1,67 +1,21 @@
 #pragma once
 
 /// \file scenario.hpp
-/// The serving layer's scenario model: one cluster sweep request, parsed
-/// from the wire (protocol.hpp), canonically digested for the result cache,
-/// and executed through the *same* engine path `llsim cluster` / `llsim
-/// bench` use. Byte-identity between served and offline results is the
-/// subsystem's core contract (tests/serve/server_test.cpp pins it), so
-/// `run()` must mirror cli::cmd_cluster's one-cell sweep construction
-/// exactly: same pool cache key, same spec name/axes/seeding, same
-/// closed/open metric reduction, serialized by the same exp::to_json.
-
-#include <cstddef>
-#include <cstdint>
-#include <string>
+/// The serving layer's scenario model is exp::ClusterScenario, the one
+/// scenario definition `llsim cluster` and `llsim trace` run as well. A run
+/// request's params are parsed by its from_json, keyed by its
+/// config_digest, and answered with its run(): the same code path that
+/// prints `llsim cluster --json`, so served and offline bytes agree by
+/// construction.
 
 #include "core/policy.hpp"
-#include "util/runner.hpp"
-
-namespace ll::util::json {
-class Value;
-}
+#include "exp/scenario.hpp"
 
 namespace ll::serve {
 
-/// One sweep request. Field defaults match `llsim cluster`'s flag defaults,
-/// so an empty params object serves exactly what a bare `llsim cluster`
-/// run prints with --json.
-struct ScenarioRequest {
-  core::PolicyKind policy = core::PolicyKind::LingerLonger;
-  std::size_t nodes = 64;       ///< cluster size
-  std::size_t jobs = 128;       ///< foreign jobs (open mode)
-  double demand = 600.0;        ///< CPU-seconds per job
-  std::size_t machines = 32;    ///< synthetic trace pool size
-  double days = 1.0;            ///< synthetic trace length
-  double closed = 0.0;          ///< > 0: closed-system run of this many s
-  double pause = 60.0;          ///< PM grace period
-  std::size_t reps = 1;         ///< replications
-  std::uint64_t seed = 42;
+using ScenarioRequest = exp::ClusterScenario;
 
-  /// Parses the "params" object of a run request. Unknown keys are
-  /// rejected (a typo silently serving the default would look like a cache
-  /// bug); missing keys keep their defaults. Throws std::invalid_argument.
-  [[nodiscard]] static ScenarioRequest from_json(const util::json::Value& v);
-
-  /// Canonical FNV-1a digest over every field *except* the seed — the
-  /// "config" half of the cache key. Two requests with equal digests run
-  /// identical simulations per seed.
-  [[nodiscard]] std::uint64_t config_digest() const;
-
-  /// Runs the one-cell sweep and returns exp::to_json's exact bytes.
-  /// `runner == nullptr` lets the engine build its own pool (the offline
-  /// path); the server passes util::TaskRunner::shared().
-  [[nodiscard]] std::string run(util::TaskRunner* runner) const;
-};
-
-/// Maps the wire policy names (the CLI's: LL, LF, IE, PM, LL-oracle).
-/// Throws std::invalid_argument on unknown names.
-[[nodiscard]] core::PolicyKind parse_policy_name(const std::string& name);
-
-/// Registers the `serve_offline` bench: prints the exact JSON `run()`
-/// serves for a given scenario, so CI can diff server output against the
-/// offline engine byte-for-byte. Called once from the CLI layer (keeps
-/// exp free of a serve dependency). Safe to call repeatedly.
-void register_serve_benches();
+/// The wire policy names are the CLI's (LL, LF, IE, PM, LL-oracle).
+using core::parse_policy_name;
 
 }  // namespace ll::serve

@@ -1,40 +1,6 @@
 #include "shard/experiment.hpp"
 
-#include <algorithm>
-#include <stdexcept>
-
-#include "stats/cdf.hpp"
-#include "stats/summary.hpp"
-
 namespace ll::shard {
-namespace {
-
-void fill_state_breakdown(cluster::ClusterReport& report,
-                          const cluster::JobStore& jobs) {
-  if (jobs.size() == 0) return;
-  const auto n = static_cast<double>(jobs.size());
-  for (const cluster::JobRecord& job : jobs) {
-    report.avg_queued += job.time_in(cluster::JobState::Queued) / n;
-    report.avg_running += job.time_in(cluster::JobState::Running) / n;
-    report.avg_lingering += job.time_in(cluster::JobState::Lingering) / n;
-    report.avg_paused += job.time_in(cluster::JobState::Paused) / n;
-    report.avg_migrating += job.time_in(cluster::JobState::Migrating) / n;
-    report.avg_checkpointing +=
-        job.time_in(cluster::JobState::Checkpointing) / n;
-  }
-}
-
-void fill_fault_metrics(cluster::ClusterReport& report,
-                        const ShardedClusterSim& sim) {
-  report.work_lost = sim.work_lost();
-  report.restarts = sim.restarts();
-  report.crashes = sim.crashes();
-  report.checkpoints = sim.checkpoints_taken();
-  const double total = sim.delivered_cpu() + sim.work_lost();
-  report.goodput = total > 0.0 ? sim.delivered_cpu() / total : 1.0;
-}
-
-}  // namespace
 
 cluster::ClusterReport run_open(const cluster::ExperimentConfig& config,
                                 std::size_t shards,
@@ -43,45 +9,9 @@ cluster::ClusterReport run_open(const cluster::ExperimentConfig& config,
                                 util::TaskRunner* runner,
                                 cluster::JobStore* jobs_out,
                                 const RunHooks* hooks) {
-  rng::Stream master(config.seed);
   ShardedClusterSim sim(config.cluster, shards, pool, table,
-                        master.fork("cluster"), runner);
-  if (hooks && hooks->on_start) hooks->on_start(sim);
-  for (std::size_t i = 0; i < config.workload.jobs; ++i) {
-    sim.submit(config.workload.demand);
-  }
-  sim.run_until_all_complete();
-  if (hooks && hooks->on_finish) hooks->on_finish(sim);
-
-  cluster::ClusterReport report;
-  stats::Summary turnaround;
-  stats::Summary execution;
-  std::vector<double> turnarounds;
-  double family = 0.0;
-  for (const cluster::JobRecord& job : sim.jobs()) {
-    turnaround.add(job.turnaround());
-    turnarounds.push_back(job.turnaround());
-    execution.add(job.execution_time());
-    family = std::max(family, *job.completion);
-  }
-  report.avg_completion = turnaround.mean();
-  report.variation = execution.mean() > 0.0
-                         ? execution.sample_stddev() / execution.mean()
-                         : 0.0;
-  report.family_time = family;
-  if (!turnarounds.empty()) {
-    const stats::EmpiricalCdf cdf(std::move(turnarounds));
-    report.p50_completion = cdf.quantile(0.5);
-    report.p90_completion = cdf.quantile(0.9);
-  }
-  fill_state_breakdown(report, sim.jobs());
-  report.foreground_delay = sim.foreground_delay_ratio();
-  report.migrations = sim.migrations_started();
-  report.completed = sim.jobs().size();
-  report.wall_time = sim.now();
-  fill_fault_metrics(report, sim);
-  if (jobs_out) *jobs_out = sim.jobs();
-  return report;
+                        cluster::run_stream(config), runner);
+  return cluster::drive(sim, config.workload, std::nullopt, hooks, jobs_out);
 }
 
 cluster::ClusterReport run_closed(const cluster::ExperimentConfig& config,
@@ -90,35 +20,9 @@ cluster::ClusterReport run_closed(const cluster::ExperimentConfig& config,
                                   const workload::BurstTable& table,
                                   double duration, util::TaskRunner* runner,
                                   const RunHooks* hooks) {
-  if (!(duration > 0.0)) {
-    throw std::invalid_argument("run_closed: duration must be > 0");
-  }
-  rng::Stream master(config.seed);
   ShardedClusterSim sim(config.cluster, shards, pool, table,
-                        master.fork("cluster"), runner);
-  if (hooks && hooks->on_start) hooks->on_start(sim);
-  const double demand = config.workload.demand;
-  sim.set_completion_callback(
-      [&sim, demand](const cluster::JobRecord&) { sim.submit(demand); });
-  for (std::size_t i = 0; i < config.workload.jobs; ++i) {
-    sim.submit(demand);
-  }
-  sim.run_for(duration);
-  if (hooks && hooks->on_finish) hooks->on_finish(sim);
-
-  cluster::ClusterReport report;
-  report.throughput = sim.delivered_cpu() / duration;
-  std::size_t completed = 0;
-  for (const cluster::JobRecord& job : sim.jobs()) {
-    if (job.state == cluster::JobState::Done) ++completed;
-  }
-  report.completed = completed;
-  fill_state_breakdown(report, sim.jobs());
-  report.foreground_delay = sim.foreground_delay_ratio();
-  report.migrations = sim.migrations_started();
-  report.wall_time = sim.now();
-  fill_fault_metrics(report, sim);
-  return report;
+                        cluster::run_stream(config), runner);
+  return cluster::drive(sim, config.workload, duration, hooks);
 }
 
 }  // namespace ll::shard

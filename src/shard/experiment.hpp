@@ -1,12 +1,11 @@
 #pragma once
 
 /// \file experiment.hpp
-/// Open/closed experiment drivers for the sharded engine — the exact
-/// protocol of cluster/experiment.hpp (same workloads, same ClusterReport)
-/// executed on a ShardedClusterSim, so `llsim cluster --shards K` and the
-/// ext_scale_sharded bench reuse the monolithic reporting path unchanged.
+/// Open/closed experiment drivers for the sharded engine: cluster::drive
+/// (cluster/experiment.hpp) on a ShardedClusterSim, so both engines run
+/// one protocol and one ClusterReport reduction. The report carries the
+/// same metrics as cluster::run_open/run_closed.
 
-#include <functional>
 #include <span>
 
 #include "cluster/experiment.hpp"
@@ -14,17 +13,13 @@
 
 namespace ll::shard {
 
-/// Observational hooks, mirroring cluster::RunHooks: `on_start` fires right
-/// after construction (attach metrics/tracer), `on_finish` after the run
+/// Observational hooks, as cluster::RunHooks: `on_start` fires right after
+/// construction (attach metrics/tracer), `on_finish` after the run
 /// completes while the simulator is still alive (snapshot ShardStats).
-struct RunHooks {
-  std::function<void(ShardedClusterSim&)> on_start;
-  std::function<void(ShardedClusterSim&)> on_finish;
-};
+using RunHooks = cluster::EngineHooks<ShardedClusterSim>;
 
 /// Open-mode run on `shards` shards; `runner` executes the per-window shard
-/// tasks (nullptr = serial). Reports the same metrics as cluster::run_open
-/// except observed_idle_fraction, which the sharded engine does not sample.
+/// tasks (nullptr = serial).
 [[nodiscard]] cluster::ClusterReport run_open(
     const cluster::ExperimentConfig& config, std::size_t shards,
     std::span<const trace::CoarseTrace> pool,

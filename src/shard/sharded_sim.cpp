@@ -88,48 +88,20 @@ ShardedClusterSim::ShardedClusterSim(cluster::ClusterConfig config,
   if (shard_count_ == 0) {
     throw std::invalid_argument("sharded sim: shard count must be >= 1");
   }
-  if (pool.empty()) {
-    throw std::invalid_argument("sharded sim: trace pool must be non-empty");
-  }
   if (cfg_.max_foreign_per_node != 1) {
     throw std::invalid_argument(
         "sharded sim: only max_foreign_per_node == 1 is modeled");
   }
-  period_ = pool.front().period();
-  for (const auto& t : pool) {
-    if (t.empty()) {
-      throw std::invalid_argument("sharded sim: empty trace in pool");
-    }
-    if (t.period() != period_) {
-      throw std::invalid_argument("sharded sim: traces must share one period");
-    }
-  }
+  cluster::PoolDerived derived = cluster::derive_pool(pool, cfg_);
+  period_ = derived.period;
+  flag_cache_ = std::move(derived.idle_flags);
+  idle_util_ = derived.idle_utilization;
   cfg_.faults.validate();
   cfg_.checkpoint.validate();
   policy_ = core::make_policy(cfg_.policy, cfg_.policy_params);
 
   // The lookahead: nothing crosses shards faster than one migration.
   window_ = std::max(cfg_.migration.cost(cfg_.job_bytes), period_);
-
-  // Idle-flag cache + measured idle utilization "l", as the monolith does.
-  flag_cache_.reserve(pool.size());
-  double idle_cpu_sum = 0.0;
-  std::size_t idle_cpu_count = 0;
-  for (const auto& t : pool) {
-    flag_cache_.push_back(trace::idle_flags(t, cfg_.recruitment));
-    const auto& flags = flag_cache_.back();
-    for (std::size_t i = 0; i < flags.size(); ++i) {
-      if (flags[i]) {
-        idle_cpu_sum += t.samples()[i].cpu;
-        ++idle_cpu_count;
-      }
-    }
-  }
-  if (cfg_.idle_utilization_estimate >= 0.0) {
-    idle_util_ = cfg_.idle_utilization_estimate;
-  } else if (idle_cpu_count > 0) {
-    idle_util_ = idle_cpu_sum / static_cast<double>(idle_cpu_count);
-  }
 
   const std::size_t n = cfg_.node_count;
   node_trace_.resize(n);

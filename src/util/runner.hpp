@@ -2,7 +2,7 @@
 
 /// \file runner.hpp
 /// Lock-free work-stealing task runner — the execution substrate of the
-/// experiment engine (src/exp) and of cluster::replicate.
+/// experiment engine (src/exp) and of the sharded engine's windows.
 ///
 /// A TaskRunner owns a fixed set of worker threads. run() executes a batch
 /// of independent tasks to completion with the *calling thread
@@ -112,9 +112,9 @@ class TaskRunner {
   /// the probe bench/micro_runner.cpp uses to verify the N+constant bound.
   [[nodiscard]] static std::uint64_t total_threads_created();
 
-  /// Process-wide shared runner at hardware concurrency. Used by
-  /// cluster::replicate and as the engine default, so concurrent sweeps
-  /// share one bounded pool instead of multiplying threads.
+  /// Process-wide shared runner at hardware concurrency. Used by the serve
+  /// dispatcher and by top-level sharded runs, so concurrent work shares
+  /// one bounded pool instead of multiplying threads.
   static TaskRunner& shared();
 
  private:

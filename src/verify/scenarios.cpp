@@ -55,7 +55,13 @@ void check_fine_result(const node::FineNodeConfig& cfg,
             "simulation ended before the configured duration");
 }
 
-void fold_cluster(Digest& d, const cluster::ClusterSim& sim) {
+/// State digest of a cluster run on either engine: per-job lifecycle (id,
+/// submit, remaining, transition history) plus the canonical-order global
+/// reductions. Fault scenarios additionally pin the rollback accounting;
+/// fault-free scenarios fold nothing extra, keeping their digests
+/// byte-identical to the pre-fault suite.
+template <class Sim>
+void fold_cluster(Digest& d, const Sim& sim) {
   for (const cluster::JobRecord& job : sim.jobs()) {
     d.add_u64(job.id);
     d.add_double(job.submit_time);
@@ -67,6 +73,12 @@ void fold_cluster(Digest& d, const cluster::ClusterSim& sim) {
   }
   d.add_double(sim.delivered_cpu());
   d.add_u64(sim.migrations_started());
+  if (!sim.config().faults.empty() || sim.config().checkpoint.enabled()) {
+    d.add_double(sim.work_lost());
+    d.add_u64(sim.restarts());
+    d.add_u64(sim.crashes());
+    d.add_u64(sim.checkpoints_taken());
+  }
 }
 
 void check_cluster(const cluster::ClusterSim& sim, InvariantRegistry& reg) {
@@ -74,25 +86,6 @@ void check_cluster(const cluster::ClusterSim& sim, InvariantRegistry& reg) {
   for (const cluster::JobRecord& job : sim.jobs()) {
     check_job_record(job, reg);
   }
-}
-
-/// State digest of a sharded run, the sharded analogue of fold_cluster:
-/// per-job lifecycle (id, submit, remaining, transition history) plus the
-/// canonical-order global reductions. Engine-level (time, id) event digests
-/// are deliberately not folded — each shard runs a private tick chain, so
-/// raw event streams vary with K while the state evolution does not.
-void fold_sharded(Digest& d, const shard::ShardedClusterSim& sim) {
-  for (const cluster::JobRecord& job : sim.jobs()) {
-    d.add_u64(job.id);
-    d.add_double(job.submit_time);
-    d.add_double(job.remaining);
-    for (const auto& tr : job.history) {
-      d.add_double(tr.time);
-      d.add_u64(static_cast<std::uint64_t>(tr.to));
-    }
-  }
-  d.add_double(sim.delivered_cpu());
-  d.add_u64(sim.migrations_started());
 }
 
 /// Occupancy legality over the sharded SoA at a quiescent point, mirroring
@@ -275,59 +268,18 @@ ScenarioResult node_trace(const ScenarioOptions& options) {
 
 // ---- cluster --------------------------------------------------------------
 
-/// The sharded twin of cluster_run: same pool, config, workload and stream
-/// derivation, executed on the conservative time-windowed engine. The
-/// resulting digest is pinned in <name>.shards.golden and must be
-/// byte-identical for every shard count and queue backend.
-ScenarioResult sharded_cluster_run(
-    const ScenarioOptions& options, std::string_view name,
-    core::PolicyKind policy, std::size_t nodes, std::size_t jobs,
-    double demand, bool closed,
-    const std::function<void(cluster::ClusterConfig&)>& configure) {
-  Harness h(options);
-  rng::Stream stream = scenario_stream(options, name);
-  const auto pool = small_pool(stream.fork("pool"), nodes, 2.0);
-
-  cluster::ClusterConfig cfg;
-  cfg.node_count = nodes;
-  cfg.policy = policy;
-  cfg.job_bytes = 1ull << 20;
-  cfg.queue = options.queue;
-  if (configure) configure(cfg);
-  shard::ShardedClusterSim sim(cfg, options.shards, pool,
-                               workload::default_burst_table(),
-                               stream.fork("sim"));
-
-  if (closed) {
-    sim.set_completion_callback(
-        [&sim, demand](const cluster::JobRecord&) { sim.submit(demand); });
-    for (std::size_t j = 0; j < jobs; ++j) sim.submit(demand);
-    sim.run_for(1800.0);
-  } else {
-    for (std::size_t j = 0; j < jobs; ++j) sim.submit(demand);
-    sim.run_until_all_complete(1e6);
-  }
-
-  check_sharded(sim, h.registry);
-  fold_sharded(h.digest, sim);
-  if (!cfg.faults.empty() || cfg.checkpoint.enabled()) {
-    h.digest.add_double(sim.work_lost());
-    h.digest.add_u64(sim.restarts());
-    h.digest.add_u64(sim.crashes());
-    h.digest.add_u64(sim.checkpoints_taken());
-  }
-  return h.finish(sim.logical_events());
-}
-
+/// One cluster scenario on the engine ScenarioOptions::shards picks. Both
+/// engines share the pool, config, workload and stream derivation. The
+/// monolithic digest starts from the fired-event stream; the sharded one
+/// folds no engine-level (time, id) events, because each shard runs a
+/// private tick chain, so raw event streams vary with K while the state
+/// evolution does not. Its digest is pinned in <name>.shards.golden and
+/// must be byte-identical for every shard count and queue backend.
 ScenarioResult cluster_run(
     const ScenarioOptions& options, std::string_view name,
     core::PolicyKind policy, std::size_t nodes, std::size_t jobs,
     double demand, bool closed,
     const std::function<void(cluster::ClusterConfig&)>& configure = {}) {
-  if (options.shards > 0) {
-    return sharded_cluster_run(options, name, policy, nodes, jobs, demand,
-                               closed, configure);
-  }
   Harness h(options);
   rng::Stream stream = scenario_stream(options, name);
   const auto pool = small_pool(stream.fork("pool"), nodes, 2.0);
@@ -338,40 +290,42 @@ ScenarioResult cluster_run(
   cfg.job_bytes = 1ull << 20;
   cfg.queue = options.queue;
   if (configure) configure(cfg);
+  const auto run_jobs = [&](auto& sim) {
+    if (closed) {
+      sim.set_completion_callback(
+          [&sim, demand](const cluster::JobRecord&) { sim.submit(demand); });
+      for (std::size_t j = 0; j < jobs; ++j) sim.submit(demand);
+      sim.run_for(1800.0);
+    } else {
+      for (std::size_t j = 0; j < jobs; ++j) sim.submit(demand);
+      sim.run_until_all_complete(1e6);
+    }
+  };
+
+  if (options.shards > 0) {
+    shard::ShardedClusterSim sim(cfg, options.shards, pool,
+                                 workload::default_burst_table(),
+                                 stream.fork("sim"));
+    run_jobs(sim);
+    check_sharded(sim, h.registry);
+    fold_cluster(h.digest, sim);
+    return h.finish(sim.logical_events());
+  }
+
   cluster::ClusterSim sim(cfg, pool, workload::default_burst_table(),
                           stream.fork("sim"));
-
   if (options.cluster_hook) options.cluster_hook(sim);
-
   DigestObserver digest;
   SimInvariantObserver inv(sim.engine(), h.registry, &digest);
   sim.set_sim_observer(options.wrap_observer ? options.wrap_observer(&inv)
                                              : &inv);
-
-  if (closed) {
-    sim.set_completion_callback(
-        [&sim, demand](const cluster::JobRecord&) { sim.submit(demand); });
-    for (std::size_t j = 0; j < jobs; ++j) sim.submit(demand);
-    sim.run_for(1800.0);
-  } else {
-    for (std::size_t j = 0; j < jobs; ++j) sim.submit(demand);
-    sim.run_until_all_complete(1e6);
-  }
+  run_jobs(sim);
   inv.finalize();
   sim.set_sim_observer(nullptr);
 
   check_cluster(sim, h.registry);
   h.digest = digest.digest();
   fold_cluster(h.digest, sim);
-  if (!cfg.faults.empty() || cfg.checkpoint.enabled()) {
-    // Fault scenarios additionally pin the rollback accounting; fault-free
-    // scenarios fold nothing extra, keeping their digests byte-identical to
-    // the pre-fault suite.
-    h.digest.add_double(sim.work_lost());
-    h.digest.add_u64(sim.restarts());
-    h.digest.add_u64(sim.crashes());
-    h.digest.add_u64(sim.checkpoints_taken());
-  }
   return h.finish(digest.events());
 }
 

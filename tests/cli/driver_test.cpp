@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "exp/scenario.hpp"
 #include "trace/trace_io.hpp"
 #include "util/json.hpp"
 #include "workload/fine_generator.hpp"
@@ -63,15 +64,6 @@ TEST(CliBasics, UnknownSubcommandFails) {
   const CliResult r = run({"frobnicate"});
   EXPECT_EQ(r.code, 2);
   EXPECT_NE(r.err.find("unknown subcommand"), std::string::npos);
-}
-
-TEST(CliBasics, ParsePolicyNames) {
-  EXPECT_EQ(parse_policy("LL"), core::PolicyKind::LingerLonger);
-  EXPECT_EQ(parse_policy("LF"), core::PolicyKind::LingerForever);
-  EXPECT_EQ(parse_policy("IE"), core::PolicyKind::ImmediateEviction);
-  EXPECT_EQ(parse_policy("PM"), core::PolicyKind::PauseAndMigrate);
-  EXPECT_EQ(parse_policy("LL-oracle"), core::PolicyKind::OracleLinger);
-  EXPECT_FALSE(parse_policy("condor").has_value());
 }
 
 TEST(CliBasics, ParseWidthPolicyNames) {
@@ -255,6 +247,57 @@ TEST_F(CliTest, ClusterJsonEmitsSweep) {
   EXPECT_EQ(r.out.front(), '{');
   EXPECT_NE(r.out.find("\"avg_job\""), std::string::npos);
   EXPECT_NE(r.out.find("\"summary\""), std::string::npos);
+
+  // The printed bytes are the scenario's own run(), which is what
+  // `llsim serve` answers for the same fields — checked with every field
+  // away from its default.
+  const CliResult closed =
+      run({"cluster", "--policy=PM", "--nodes=8", "--jobs=8", "--demand=60",
+           "--machines=4", "--days=0.2", "--seed=5", "--pause-time=30",
+           "--closed=600", "--reps=3", "--json"});
+  ASSERT_EQ(closed.code, 0) << closed.err;
+  exp::ClusterScenario sc;
+  sc.policy = core::PolicyKind::PauseAndMigrate;
+  sc.nodes = 8;
+  sc.jobs = 8;
+  sc.demand = 60.0;
+  sc.machines = 4;
+  sc.days = 0.2;
+  sc.seed = 5;
+  sc.pause = 30.0;
+  sc.closed = 600.0;
+  sc.reps = 3;
+  EXPECT_EQ(closed.out, sc.run(nullptr));
+}
+
+TEST_F(CliTest, ClusterShardedJsonIsShardCountInvariantAndWritesJobLog) {
+  const auto sharded = [&](const std::string& shards) {
+    return run({"cluster", shards, "--nodes=8", "--jobs=8", "--demand=60",
+                "--machines=4", "--days=0.2", "--seed=5", "--reps=2",
+                "--json"});
+  };
+  const CliResult one = sharded("--shards=1");
+  const CliResult three = sharded("--shards=3");
+  ASSERT_EQ(one.code, 0) << one.err;
+  ASSERT_EQ(three.code, 0) << three.err;
+  EXPECT_EQ(one.out.front(), '{');
+  EXPECT_EQ(one.out, three.out);
+
+  const CliResult logged =
+      run({"cluster", "--shards=2", "--nodes=4", "--jobs=4", "--demand=60",
+           "--machines=2", "--days=0.2", "--job-log=" + path("jobs.csv")});
+  ASSERT_EQ(logged.code, 0) << logged.err;
+  std::ifstream log(path("jobs.csv"));
+  ASSERT_TRUE(log.good());
+  std::string header;
+  std::getline(log, header);
+  EXPECT_EQ(header, "job,time,state");
+  std::string line;
+  std::size_t done = 0;
+  while (std::getline(log, line)) {
+    if (line.find(",done") != std::string::npos) ++done;
+  }
+  EXPECT_EQ(done, 4u);  // every job of the open run finished
 }
 
 TEST_F(CliTest, BenchListShowsRegisteredBenches) {

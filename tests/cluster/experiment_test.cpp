@@ -2,13 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <mutex>
-#include <set>
-#include <thread>
-
 #include "common/scenario_builders.hpp"
-#include "util/runner.hpp"
 #include "workload/burst_table.hpp"
 
 namespace ll::cluster {
@@ -112,90 +106,6 @@ TEST(ClosedExperiment, RejectsBadDuration) {
       (void)run_closed(small_experiment(core::PolicyKind::LingerLonger), pool,
                        workload::default_burst_table(), 0.0),
       std::invalid_argument);
-}
-
-TEST(Replicate, RunsAllSeedsAndKeepsOrder) {
-  std::vector<std::uint64_t> seen;
-  std::mutex mu;
-  const auto reports = replicate(4, 7, [&](std::uint64_t seed) {
-    {
-      std::scoped_lock lock(mu);
-      seen.push_back(seed);
-    }
-    ClusterReport r;
-    r.throughput = static_cast<double>(seed % 1000);
-    return r;
-  });
-  EXPECT_EQ(reports.size(), 4u);
-  EXPECT_EQ(seen.size(), 4u);
-  // Seeds are distinct.
-  std::sort(seen.begin(), seen.end());
-  EXPECT_EQ(std::unique(seen.begin(), seen.end()), seen.end());
-}
-
-TEST(Replicate, ZeroReplicationsThrows) {
-  EXPECT_THROW(
-      replicate(0, 1, [](std::uint64_t) { return ClusterReport{}; }),
-      std::invalid_argument);
-}
-
-TEST(Replicate, ThrowingReplicationPropagatesWithoutHanging) {
-  EXPECT_THROW(
-      (void)replicate(8, 3,
-                      [](std::uint64_t seed) -> ClusterReport {
-                        if (seed % 2 == 0) {
-                          throw std::runtime_error("replication failed");
-                        }
-                        return ClusterReport{};
-                      }),
-      std::runtime_error);
-  // The shared pool survives a throwing batch and stays usable.
-  const auto reports =
-      replicate(4, 3, [](std::uint64_t) { return ClusterReport{}; });
-  EXPECT_EQ(reports.size(), 4u);
-}
-
-TEST(Replicate, ThreadCountStaysBoundedByTheSharedPool) {
-  std::mutex mu;
-  std::set<std::thread::id> ids;
-  (void)replicate(64, 9, [&](std::uint64_t) {
-    {
-      std::scoped_lock lock(mu);
-      ids.insert(std::this_thread::get_id());
-    }
-    return ClusterReport{};
-  });
-  // The old implementation spawned 64 std::async threads; the pooled one is
-  // bounded by the shared runner's worker count.
-  EXPECT_LE(ids.size(), util::TaskRunner::shared().thread_count());
-}
-
-TEST(Replicate, DeterministicSeedDerivation) {
-  auto run = [](std::uint64_t base) {
-    std::vector<std::uint64_t> seeds;
-    std::mutex mu;
-    (void)replicate(3, base, [&](std::uint64_t seed) {
-      std::scoped_lock lock(mu);
-      seeds.push_back(seed);
-      return ClusterReport{};
-    });
-    std::sort(seeds.begin(), seeds.end());
-    return seeds;
-  };
-  EXPECT_EQ(run(42), run(42));
-  EXPECT_NE(run(42), run(43));
-}
-
-TEST(Summarize, ComputesCiOverMetric) {
-  std::vector<ClusterReport> reports(3);
-  reports[0].throughput = 10.0;
-  reports[1].throughput = 12.0;
-  reports[2].throughput = 14.0;
-  const auto ci = summarize(
-      reports, [](const ClusterReport& r) { return r.throughput; });
-  EXPECT_DOUBLE_EQ(ci.mean, 12.0);
-  EXPECT_GT(ci.half_width, 0.0);
-  EXPECT_EQ(ci.n, 3u);
 }
 
 TEST(EndToEndPolicies, LingerBeatsEvictionOnBusyCluster) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 namespace ll::core {
 namespace {
@@ -22,6 +23,21 @@ TEST(PolicyNames, RoundTrip) {
   EXPECT_EQ(to_string(PolicyKind::LingerForever), "LF");
   EXPECT_EQ(to_string(PolicyKind::ImmediateEviction), "IE");
   EXPECT_EQ(to_string(PolicyKind::PauseAndMigrate), "PM");
+}
+
+TEST(PolicyNames, ParseInvertsToString) {
+  EXPECT_EQ(parse_policy_name("LL"), PolicyKind::LingerLonger);
+  EXPECT_EQ(parse_policy_name("LF"), PolicyKind::LingerForever);
+  EXPECT_EQ(parse_policy_name("IE"), PolicyKind::ImmediateEviction);
+  EXPECT_EQ(parse_policy_name("PM"), PolicyKind::PauseAndMigrate);
+  EXPECT_EQ(parse_policy_name("LL-oracle"), PolicyKind::OracleLinger);
+  try {
+    (void)parse_policy_name("condor");
+    FAIL() << "an unknown name parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "unknown policy 'condor' (LL, LF, IE, PM, LL-oracle)");
+  }
 }
 
 TEST(PolicyFactory, CreatesEachKindWithMatchingName) {

@@ -9,6 +9,7 @@
 
 #include "core/linger.hpp"
 #include "stats/cdf.hpp"
+#include "stats/confidence.hpp"
 #include "stats/summary.hpp"
 #include "cluster/experiment.hpp"
 #include "parallel/reconfig.hpp"
@@ -158,29 +159,24 @@ TEST_F(EndToEnd, Section5_LingerBeatsReconfigurationAtLightLoad) {
 TEST_F(EndToEnd, ReplicatedClusterComparisonIsStable) {
   // The LL > IE ordering must hold across independent replications, not
   // just one lucky seed.
-  auto run_with = [&](core::PolicyKind policy, std::uint64_t seed) {
-    cluster::ExperimentConfig cfg;
-    cfg.cluster.node_count = 16;
-    cfg.cluster.policy = policy;
-    cfg.workload = cluster::WorkloadSpec{32, 300.0};
-    cfg.seed = seed;
-    return cluster::run_closed(cfg, *pool_, workload::default_burst_table(),
-                               900.0);
+  const auto throughput_ci = [&](core::PolicyKind policy) {
+    const rng::Stream master(100);
+    std::vector<double> throughputs;
+    for (std::uint64_t i = 0; i < 4; ++i) {
+      cluster::ExperimentConfig cfg;
+      cfg.cluster.node_count = 16;
+      cfg.cluster.policy = policy;
+      cfg.workload = cluster::WorkloadSpec{32, 300.0};
+      cfg.seed = master.fork("replication", i).seed();
+      throughputs.push_back(
+          cluster::run_closed(cfg, *pool_, workload::default_burst_table(),
+                              900.0)
+              .throughput);
+    }
+    return stats::mean_confidence_95(throughputs);
   };
-  const auto ll_reports =
-      cluster::replicate(4, 100, [&](std::uint64_t seed) {
-        return run_with(core::PolicyKind::LingerLonger, seed);
-      });
-  const auto ie_reports =
-      cluster::replicate(4, 100, [&](std::uint64_t seed) {
-        return run_with(core::PolicyKind::ImmediateEviction, seed);
-      });
-  const auto metric = [](const cluster::ClusterReport& r) {
-    return r.throughput;
-  };
-  const auto ll_ci = cluster::summarize(ll_reports, metric);
-  const auto ie_ci = cluster::summarize(ie_reports, metric);
-  EXPECT_GT(ll_ci.lo(), ie_ci.hi());
+  EXPECT_GT(throughput_ci(core::PolicyKind::LingerLonger).lo(),
+            throughput_ci(core::PolicyKind::ImmediateEviction).hi());
 }
 
 }  // namespace

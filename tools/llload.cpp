@@ -12,7 +12,7 @@
 // {"status":"rejected"} backpressure by retrying after retry_after_ms.
 // --min-hit-rate turns the hit rate into an exit code for CI;
 // --dump-result writes the (unescaped) sweep JSON served for the base
-// seed, which must byte-match `llsim bench serve_offline` output.
+// seed, which must byte-match `llsim cluster --json` with the same flags.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
