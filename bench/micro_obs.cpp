@@ -1,8 +1,8 @@
 /// \file micro_obs.cpp
 /// google-benchmark microbenchmarks of the observability layer: what does a
 /// detached simulator pay (nothing beyond the engine's null check), what
-/// does a fully instrumented one pay (profiler + metrics + timeline +
-/// tracer), and how expensive are the individual metric primitives. The
+/// does a fully instrumented one pay (profiler + metrics + tracer), and
+/// how expensive are the individual metric primitives. The
 /// detached-vs-bare pair is the acceptance gate for the obs layer: attach
 /// nothing and the event loop must run at its pre-obs speed.
 ///
@@ -26,7 +26,6 @@
 #include "des/simulation.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
-#include "obs/timeline.hpp"
 #include "obs/tracer.hpp"
 
 namespace {
@@ -160,17 +159,6 @@ void BM_ObsTimeWeightedSet(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ObsTimeWeightedSet);
-
-void BM_ObsTimelineRecord(benchmark::State& state) {
-  obs::Timeline timeline(4096);  // realistic ring: wraps during the bench
-  double t = 0.0;
-  for (auto _ : state) {
-    t += 1.0;
-    timeline.record(t, "node 3", "busy", "util 0.75");
-    benchmark::DoNotOptimize(timeline.size());
-  }
-}
-BENCHMARK(BM_ObsTimelineRecord);
 
 // The tracer overhead gate (see file comment). Bounds are deliberately
 // generous: the disabled guard measures ~1 ns and the enabled record

@@ -16,7 +16,6 @@
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
-#include "obs/timeline.hpp"
 #include "obs/tracer.hpp"
 #include "serve/server.hpp"
 #include "verify/scenarios.hpp"
@@ -88,11 +87,10 @@ exp::TracePoolCache::PoolPtr load_trace_dir(const std::string& dir) {
 /// pools come from the process-wide cache, so repeated runs (and registered
 /// benches using the same dimensions) build each pool exactly once.
 exp::TracePoolCache::PoolPtr pool_from_flags(const std::string& dir,
-                                             std::int64_t machines,
+                                             std::size_t machines,
                                              double days, std::uint64_t seed) {
   if (!dir.empty()) return load_trace_dir(dir);
-  return exp::TracePoolCache::shared().standard(
-      static_cast<std::size_t>(machines), days * 24.0, seed);
+  return exp::TracePoolCache::shared().standard(machines, days * 24.0, seed);
 }
 
 /// Formats a replication-count metric: exact for single runs, one decimal
@@ -132,16 +130,17 @@ void name_cluster_tags(Target& target) {
 /// Instruments one cluster run on either engine and records it into
 /// `manifest` while the simulator is still alive. Both engines get a
 /// metrics registry. The monolithic engine also gets the event-loop
-/// profiler (with named tags) and an optional timeline; the sharded one
-/// reports its barrier/mailbox accounting as the manifest's "shards"
-/// section.
+/// profiler (with named tags) and an optional flight-recorder tracer; the
+/// sharded one reports its barrier/mailbox accounting as the manifest's
+/// "shards" section.
 class RunInstruments {
  public:
-  RunInstruments(obs::RunManifest& manifest, obs::Timeline* timeline) {
+  explicit RunInstruments(obs::RunManifest& manifest,
+                          obs::Tracer* tracer = nullptr) {
     name_cluster_tags(profiler_);
-    hooks_.monolithic.on_start = [this, timeline](cluster::ClusterSim& sim) {
+    hooks_.monolithic.on_start = [this, tracer](cluster::ClusterSim& sim) {
       sim.set_metrics(&registry_);
-      if (timeline) sim.set_timeline(timeline);
+      sim.set_tracer(tracer);
       sim.set_sim_observer(&profiler_);
     };
     hooks_.monolithic.on_finish = [this, &manifest](cluster::ClusterSim& sim) {
@@ -153,7 +152,7 @@ class RunInstruments {
       manifest.metrics = registry_.snapshot(sim.now());
       sim.set_sim_observer(nullptr);
       sim.set_metrics(nullptr);
-      sim.set_timeline(nullptr);
+      sim.set_tracer(nullptr);
     };
     hooks_.sharded.on_start = [this](shard::ShardedClusterSim& sim) {
       sim.set_metrics(&registry_);
@@ -193,7 +192,7 @@ void write_manifest_file(const obs::RunManifest& manifest,
 
 int cmd_traces(const std::vector<std::string>& args, std::ostream& out) {
   util::Flags flags("llsim traces", "Synthesize workstation trace files.");
-  auto machines = flags.add_int("machines", 16, "machines to synthesize");
+  auto machines = flags.add_uint64("machines", 16, "machines to synthesize");
   auto days = flags.add_double("days", 1.0, "days per machine");
   auto out_dir = flags.add_string("out", "", "output directory (required)");
   auto seed = flags.add_uint64("seed", 42, "RNG seed");
@@ -205,8 +204,8 @@ int cmd_traces(const std::vector<std::string>& args, std::ostream& out) {
   fs::create_directories(*out_dir);
   trace::CoarseGenConfig gen;
   gen.duration = *days * 86400.0;
-  const auto pool = trace::generate_machine_pool(
-      gen, static_cast<std::size_t>(*machines), rng::Stream(*seed));
+  const auto pool =
+      trace::generate_machine_pool(gen, *machines, rng::Stream(*seed));
   for (std::size_t m = 0; m < pool.size(); ++m) {
     trace::save_coarse(pool[m], *out_dir + "/machine" + std::to_string(m) +
                                     ".coarse");
@@ -284,16 +283,13 @@ int cmd_cluster(const std::vector<std::string>& args, std::ostream& out) {
   const exp::ClusterScenario defaults;
   auto policy_name = flags.add_string("policy", core::to_string(defaults.policy),
                                       "LL, LF, IE, PM, or LL-oracle");
-  auto nodes = flags.add_int(
-      "nodes", static_cast<std::int64_t>(defaults.nodes), "cluster size");
-  auto jobs = flags.add_int("jobs", static_cast<std::int64_t>(defaults.jobs),
-                            "foreign jobs");
+  auto nodes = flags.add_uint64("nodes", defaults.nodes, "cluster size");
+  auto jobs = flags.add_uint64("jobs", defaults.jobs, "foreign jobs");
   auto demand = flags.add_double("demand", defaults.demand,
                                  "CPU-seconds per job");
   auto traces_dir = flags.add_string("traces", "", "trace directory (optional)");
-  auto machines =
-      flags.add_int("machines", static_cast<std::int64_t>(defaults.machines),
-                    "synthetic machines if no dir");
+  auto machines = flags.add_uint64("machines", defaults.machines,
+                                   "synthetic machines if no dir");
   auto days = flags.add_double("days", defaults.days, "synthetic trace days");
   auto table_path = flags.add_string("burst-table", "",
                                      "burst table file (default: built-in)");
@@ -310,35 +306,32 @@ int cmd_cluster(const std::vector<std::string>& args, std::ostream& out) {
       "write a run manifest (JSON) from an instrumented re-run of the "
       "first replication");
   auto seed = flags.add_uint64("seed", defaults.seed, "RNG seed");
-  auto reps = flags.add_int("reps", static_cast<std::int64_t>(defaults.reps),
-                            "replications (report means with 95% CIs)");
-  auto workers = flags.add_int("workers", 0,
-                               "worker threads (0 = hardware concurrency)");
+  auto reps = flags.add_uint64("reps", defaults.reps,
+                               "replications (report means with 95% CIs)");
+  auto workers = flags.add_uint64("workers", 0,
+                                  "worker threads (0 = hardware concurrency)");
   auto json = flags.add_bool("json", false, "emit the sweep as JSON");
   auto queue_name = flags.add_string("queue", "heap", kQueueFlagHelp);
-  auto shards = flags.add_int(
+  auto shards = flags.add_uint64(
       "shards", 0,
       "run on the conservative time-windowed sharded engine with this many "
       "shards (0 = monolithic engine); results are shard-count invariant");
   auto argv = to_argv(args);
   flags.parse(static_cast<int>(argv.size()), argv.data());
 
-  if (*shards < 0) {
-    throw std::invalid_argument("cluster: --shards must be >= 0");
-  }
   exp::ClusterScenario sc;
   sc.policy = core::parse_policy_name(*policy_name);
-  sc.nodes = static_cast<std::size_t>(*nodes);
-  sc.jobs = static_cast<std::size_t>(*jobs);
+  sc.nodes = *nodes;
+  sc.jobs = *jobs;
   sc.demand = *demand;
-  sc.machines = static_cast<std::size_t>(*machines);
+  sc.machines = *machines;
   sc.days = *days;
   sc.closed = *closed;
   sc.pause = *pause;
-  sc.reps = static_cast<std::size_t>(*reps);
+  sc.reps = *reps;
   sc.seed = *seed;
   exp::ClusterEngine engine;
-  engine.shards = static_cast<std::size_t>(*shards);
+  engine.shards = *shards;
   engine.queue = parse_queue_flag("cluster", *queue_name);
   const auto pool = traces_dir->empty() ? sc.pool() : load_trace_dir(*traces_dir);
   const workload::BurstTable table = table_path->empty()
@@ -361,7 +354,7 @@ int cmd_cluster(const std::vector<std::string>& args, std::ostream& out) {
     return hooks;
   };
   exp::EngineOptions options;
-  options.jobs = static_cast<std::size_t>(*workers);
+  options.jobs = *workers;
   const exp::SweepResult sweep =
       exp::run_sweep(sc.spec(engine, pool, table, first_run_hooks), options);
   const exp::CellResult& cell = sweep.cells.front();
@@ -398,7 +391,7 @@ int cmd_cluster(const std::vector<std::string>& args, std::ostream& out) {
     if (engine.shards > 0) {
       manifest.config.emplace_back("shards", std::to_string(engine.shards));
     }
-    RunInstruments instruments(manifest, /*timeline=*/nullptr);
+    RunInstruments instruments(manifest);
     (void)sc.run_one(first_seed, rerun, *pool, table, &instruments.hooks());
     write_manifest_file(manifest, *metrics_out);
     out << "wrote run manifest to " << *metrics_out << "\n";
@@ -464,20 +457,21 @@ int cmd_parallel(const std::vector<std::string>& args, std::ostream& out) {
                     "Run parallel jobs under a width policy.");
   auto policy_name = flags.add_string(
       "policy", "hybrid", "reconfigure, fixed-linger, or hybrid");
-  auto nodes = flags.add_int("nodes", 32, "cluster size");
-  auto jobs = flags.add_int("jobs", 4, "jobs held in the system");
+  auto nodes = flags.add_uint64("nodes", 32, "cluster size");
+  auto jobs = flags.add_uint64("jobs", 4, "jobs held in the system");
   auto work = flags.add_double("work", 300.0, "cpu-seconds per job");
   auto granularity = flags.add_double("granularity", 0.5,
                                       "sync granularity (s)");
   auto duration = flags.add_double("duration", 3600.0, "simulated seconds");
   auto traces_dir = flags.add_string("traces", "", "trace directory (optional)");
-  auto machines = flags.add_int("machines", 32, "synthetic machines if no dir");
+  auto machines =
+      flags.add_uint64("machines", 32, "synthetic machines if no dir");
   auto days = flags.add_double("days", 1.0, "synthetic trace days");
   auto seed = flags.add_uint64("seed", 42, "RNG seed");
-  auto reps = flags.add_int("reps", 1,
-                            "replications (report means with 95% CIs)");
-  auto workers = flags.add_int("workers", 0,
-                               "worker threads (0 = hardware concurrency)");
+  auto reps = flags.add_uint64("reps", 1,
+                               "replications (report means with 95% CIs)");
+  auto workers = flags.add_uint64("workers", 0,
+                                  "worker threads (0 = hardware concurrency)");
   auto metrics_out = flags.add_string(
       "metrics-out", "",
       "write a run manifest (JSON) from an instrumented re-run of the "
@@ -496,20 +490,20 @@ int cmd_parallel(const std::vector<std::string>& args, std::ostream& out) {
   const auto pool = pool_from_flags(*traces_dir, *machines, *days, *seed + 1);
 
   exp::ParallelCellSpec cell_spec;
-  cell_spec.cluster.node_count = static_cast<std::size_t>(*nodes);
+  cell_spec.cluster.node_count = *nodes;
   cell_spec.cluster.queue = parse_queue_flag("parallel", *queue_name);
   cell_spec.cluster.policy = *policy;
   cell_spec.cluster.fixed_width = cell_spec.cluster.node_count;
   cell_spec.job.total_work = *work;
   cell_spec.job.bsp.granularity = *granularity;
   cell_spec.job.max_width = cell_spec.cluster.node_count;
-  cell_spec.jobs_in_system = static_cast<std::size_t>(*jobs);
+  cell_spec.jobs_in_system = *jobs;
   cell_spec.duration = *duration;
 
   exp::ExperimentSpec spec;
   spec.name = "parallel";
   spec.seed = *seed;
-  spec.replications = static_cast<std::size_t>(*reps);
+  spec.replications = *reps;
   spec.axes = {"policy"};
   spec.add_cell({{"policy", std::string(parallel::to_string(*policy))}},
                 [cell_spec, pool](std::uint64_t s) {
@@ -518,7 +512,7 @@ int cmd_parallel(const std::vector<std::string>& args, std::ostream& out) {
                                             s);
                 });
   exp::EngineOptions options;
-  options.jobs = static_cast<std::size_t>(*workers);
+  options.jobs = *workers;
   const exp::SweepResult sweep = exp::run_sweep(spec, options);
   if (!metrics_out->empty()) {
     obs::MetricRegistry registry;
@@ -591,27 +585,25 @@ int cmd_profile(const std::vector<std::string>& args, std::ostream& out) {
   util::Flags flags(
       "llsim profile",
       "Run one instrumented cluster simulation and report where it goes: "
-      "per-tag event-loop profile, sim-time metrics, optional timeline.");
+      "per-tag event-loop profile, sim-time metrics, optional timeline of "
+      "the last tracer records.");
   const exp::ClusterScenario defaults;
   auto policy_name = flags.add_string("policy", core::to_string(defaults.policy),
                                       "LL, LF, IE, PM, or LL-oracle");
-  auto nodes = flags.add_int(
-      "nodes", static_cast<std::int64_t>(defaults.nodes), "cluster size");
-  auto jobs = flags.add_int("jobs", static_cast<std::int64_t>(defaults.jobs),
-                            "foreign jobs");
+  auto nodes = flags.add_uint64("nodes", defaults.nodes, "cluster size");
+  auto jobs = flags.add_uint64("jobs", defaults.jobs, "foreign jobs");
   auto demand = flags.add_double("demand", defaults.demand,
                                  "CPU-seconds per job");
   auto closed = flags.add_double("closed", defaults.closed,
                                  "if > 0: closed-system run of this many "
                                  "seconds");
   auto traces_dir = flags.add_string("traces", "", "trace directory (optional)");
-  auto machines =
-      flags.add_int("machines", static_cast<std::int64_t>(defaults.machines),
-                    "synthetic machines if no dir");
+  auto machines = flags.add_uint64("machines", defaults.machines,
+                                   "synthetic machines if no dir");
   auto days = flags.add_double("days", defaults.days, "synthetic trace days");
-  auto timeline_cap = flags.add_int(
+  auto timeline = flags.add_uint64(
       "timeline", 0,
-      "if > 0: record the last N job/node state transitions and print them");
+      "if > 0: trace the run and print its last N job/node transitions");
   auto metrics_out = flags.add_string("metrics-out", "",
                                       "also write a run manifest (JSON)");
   auto seed = flags.add_uint64("seed", defaults.seed, "RNG seed");
@@ -624,10 +616,10 @@ int cmd_profile(const std::vector<std::string>& args, std::ostream& out) {
 
   exp::ClusterScenario sc;
   sc.policy = core::parse_policy_name(*policy_name);
-  sc.nodes = static_cast<std::size_t>(*nodes);
-  sc.jobs = static_cast<std::size_t>(*jobs);
+  sc.nodes = *nodes;
+  sc.jobs = *jobs;
   sc.demand = *demand;
-  sc.machines = static_cast<std::size_t>(*machines);
+  sc.machines = *machines;
   sc.days = *days;
   sc.closed = *closed;
   sc.seed = *seed;
@@ -635,10 +627,10 @@ int cmd_profile(const std::vector<std::string>& args, std::ostream& out) {
   engine.queue = parse_queue_flag("profile", *queue_name);
   const auto pool = traces_dir->empty() ? sc.pool() : load_trace_dir(*traces_dir);
 
-  std::optional<obs::Timeline> timeline;
-  if (*timeline_cap > 0) {
-    timeline.emplace(static_cast<std::size_t>(*timeline_cap));
-  }
+  // --timeline=N: a flight recorder whose ring keeps the last N records
+  // (at least 2: the tracer clamps its ring).
+  std::optional<obs::Tracer> tracer;
+  if (*timeline > 0) tracer.emplace(*timeline);
   obs::RunManifest manifest;
   manifest.tool = "llsim profile";
   manifest.version = obs::current_git_describe();
@@ -650,7 +642,7 @@ int cmd_profile(const std::vector<std::string>& args, std::ostream& out) {
       {"demand", util::format("%g", *demand)},
       {"closed", util::format("%g", *closed)},
   };
-  RunInstruments instruments(manifest, timeline ? &*timeline : nullptr);
+  RunInstruments instruments(manifest, tracer ? &*tracer : nullptr);
   const auto wall_start = std::chrono::steady_clock::now();
   (void)sc.run_one(sc.seed, engine, *pool, workload::default_burst_table(),
                    &instruments.hooks());
@@ -660,11 +652,10 @@ int cmd_profile(const std::vector<std::string>& args, std::ostream& out) {
           .count();
   const obs::ProfileSnapshot& profile = *manifest.profile;
 
-  if (timeline) {
-    obs::TraceStats trace_stats;
-    trace_stats.timeline_recorded = timeline->total_recorded();
-    trace_stats.timeline_dropped = timeline->dropped();
-    manifest.trace = trace_stats;
+  obs::Tracer::Snapshot snap;
+  if (tracer) {
+    snap = tracer->snapshot();
+    manifest.trace = obs::TraceStats{snap.recorded, snap.dropped};
   }
   if (!metrics_out->empty()) {
     write_manifest_file(manifest, *metrics_out);
@@ -710,10 +701,27 @@ int cmd_profile(const std::vector<std::string>& args, std::ostream& out) {
                                                   : std::string()});
   }
   out << metrics_table.render();
-  if (timeline) {
-    out << "\ntimeline (last " << timeline->size() << " of "
-        << timeline->total_recorded() << " transitions):\n";
-    timeline->write_text(out);
+  if (tracer) {
+    // One thread recorded every record, so the snapshot is in emission
+    // order: oldest first, by virtual time (a span's end).
+    const std::size_t shown =
+        std::min<std::size_t>(*timeline, snap.records.size());
+    out << "\ntimeline (last " << shown << " of " << snap.recorded
+        << " tracer records):\n";
+    if (snap.recorded > shown) {
+      out << "(" << snap.recorded - shown << " earlier records dropped)\n";
+    }
+    for (auto it = snap.records.end() - static_cast<std::ptrdiff_t>(shown);
+         it != snap.records.end(); ++it) {
+      const obs::TraceRecord& r = it->rec;
+      std::string when = util::format("%12.6f", r.v0);
+      if (r.kind == obs::TraceKind::kVirtualSpan) {
+        when += util::format(" .. %.6f", r.v1);
+      }
+      out << util::format("%-28s  %-23s  %llu\n", when.c_str(),
+                          snap.labels[r.label].c_str(),
+                          static_cast<unsigned long long>(r.arg));
+    }
   }
   if (!metrics_out->empty()) {
     out << "\nwrote run manifest to " << *metrics_out << "\n";
@@ -733,24 +741,24 @@ int cmd_trace(const std::vector<std::string>& args, std::ostream& out) {
       "scenario", "", "pinned verify scenario to trace (llverify --list)");
   auto out_path = flags.add_string("out", "",
                                    "trace JSON output path (required)");
-  auto ring = flags.add_int("ring", 1 << 16,
-                            "per-thread ring capacity in records "
-                            "(flight recorder: oldest overwritten)");
+  auto ring = flags.add_uint64("ring", 1 << 16,
+                               "per-thread ring capacity in records "
+                               "(flight recorder: oldest overwritten)");
   auto policy_name = flags.add_string("policy", "LL",
                                       "LL, LF, IE, PM, or LL-oracle");
-  auto nodes = flags.add_int("nodes", 16, "cluster size (sweep mode)");
-  auto jobs = flags.add_int("jobs", 32, "foreign jobs (sweep mode)");
+  auto nodes = flags.add_uint64("nodes", 16, "cluster size (sweep mode)");
+  auto jobs = flags.add_uint64("jobs", 32, "foreign jobs (sweep mode)");
   auto demand = flags.add_double("demand", 600.0, "CPU-seconds per job");
-  auto machines = flags.add_int("machines", 16, "synthetic trace machines");
+  auto machines = flags.add_uint64("machines", 16, "synthetic trace machines");
   auto days = flags.add_double("days", 1.0, "synthetic trace days");
-  auto reps = flags.add_int("reps", 2, "replications (sweep mode)");
-  auto workers = flags.add_int("workers", 2,
-                               "worker threads (0 = hardware concurrency)");
+  auto reps = flags.add_uint64("reps", 2, "replications (sweep mode)");
+  auto workers = flags.add_uint64("workers", 2,
+                                  "worker threads (0 = hardware concurrency)");
   auto seed = flags.add_uint64("seed", 42, "RNG seed (sweep mode)");
   auto metrics_out = flags.add_string(
       "metrics-out", "", "also write a run manifest with trace accounting");
   auto queue_name = flags.add_string("queue", "heap", kQueueFlagHelp);
-  auto shards = flags.add_int(
+  auto shards = flags.add_uint64(
       "shards", 0,
       "sweep mode: trace the sharded engine with this many shards "
       "(shard:<k> spans + shard.barrier instants; 0 = monolithic)");
@@ -759,14 +767,11 @@ int cmd_trace(const std::vector<std::string>& args, std::ostream& out) {
   if (out_path->empty()) {
     throw std::invalid_argument("trace: --out is required\n" + flags.usage());
   }
-  if (*shards < 0) {
-    throw std::invalid_argument("trace: --shards must be >= 0");
-  }
   if (*ring < 2) {
     throw std::invalid_argument("trace: --ring must be >= 2");
   }
 
-  obs::Tracer tracer(static_cast<std::size_t>(*ring));
+  obs::Tracer tracer(*ring);
   std::vector<std::pair<std::string, std::string>> config;
 
   if (!scenario->empty()) {
@@ -803,15 +808,15 @@ int cmd_trace(const std::vector<std::string>& args, std::ostream& out) {
     // batch/steal/suspend spans.
     exp::ClusterScenario sc;
     sc.policy = core::parse_policy_name(*policy_name);
-    sc.nodes = static_cast<std::size_t>(*nodes);
-    sc.jobs = static_cast<std::size_t>(*jobs);
+    sc.nodes = *nodes;
+    sc.jobs = *jobs;
     sc.demand = *demand;
-    sc.machines = static_cast<std::size_t>(*machines);
+    sc.machines = *machines;
     sc.days = *days;
-    sc.reps = static_cast<std::size_t>(*reps);
+    sc.reps = *reps;
     sc.seed = *seed;
     exp::ClusterEngine engine;
-    engine.shards = static_cast<std::size_t>(*shards);
+    engine.shards = *shards;
     engine.queue = parse_queue_flag("trace", *queue_name);
     const auto traced_run = [&tracer](std::uint64_t) {
       // Per-replication fire-span observer, confined to the task running
@@ -837,7 +842,7 @@ int cmd_trace(const std::vector<std::string>& args, std::ostream& out) {
       return hooks;
     };
     exp::EngineOptions options;
-    options.jobs = static_cast<std::size_t>(*workers);
+    options.jobs = *workers;
     options.tracer = &tracer;
     // run_sweep destroys its local runner before returning, so the tracer
     // is quiescent here and safe to export.
@@ -893,8 +898,8 @@ int cmd_faults(const std::vector<std::string>& args, std::ostream& out) {
                     "run one faulty cluster scenario.");
   auto policy_name = flags.add_string("policy", "LL",
                                       "LL, LF, IE, PM, or LL-oracle");
-  auto nodes = flags.add_int("nodes", 16, "cluster size");
-  auto jobs = flags.add_int("jobs", 32, "foreign jobs");
+  auto nodes = flags.add_uint64("nodes", 16, "cluster size");
+  auto jobs = flags.add_uint64("jobs", 32, "foreign jobs");
   auto demand = flags.add_double("demand", 600.0, "CPU-seconds per job");
   auto mtbf = flags.add_double(
       "mtbf", 1800.0, "per-node mean time between crashes (s, 0 = none)");
@@ -913,7 +918,8 @@ int cmd_faults(const std::vector<std::string>& args, std::ostream& out) {
                                  "if > 0: closed-system run of this many "
                                  "seconds (throughput mode)");
   auto traces_dir = flags.add_string("traces", "", "trace directory (optional)");
-  auto machines = flags.add_int("machines", 16, "synthetic machines if no dir");
+  auto machines =
+      flags.add_uint64("machines", 16, "synthetic machines if no dir");
   auto days = flags.add_double("days", 1.0, "synthetic trace days");
   auto metrics_out = flags.add_string("metrics-out", "",
                                       "also write a run manifest (JSON)");
@@ -926,11 +932,10 @@ int cmd_faults(const std::vector<std::string>& args, std::ostream& out) {
   const auto pool = pool_from_flags(*traces_dir, *machines, *days, *seed + 1);
 
   cluster::ExperimentConfig cfg;
-  cfg.cluster.node_count = static_cast<std::size_t>(*nodes);
+  cfg.cluster.node_count = *nodes;
   cfg.cluster.queue = parse_queue_flag("faults", *queue_name);
   cfg.cluster.policy = policy;
-  cfg.workload =
-      cluster::WorkloadSpec{static_cast<std::size_t>(*jobs), *demand};
+  cfg.workload = cluster::WorkloadSpec{*jobs, *demand};
   cfg.seed = *seed;
   if (*mtbf > 0.0) {
     cfg.cluster.faults.crash.arrivals = fault::ArrivalProcess::exponential(
@@ -1041,35 +1046,34 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out) {
   auto port = flags.add_int("port", 0, "TCP port (0 = pick an ephemeral one)");
   auto port_file = flags.add_string(
       "port-file", "", "write the bound port to this file (for scripts)");
-  auto queue_depth = flags.add_int("queue-depth", 256,
-                                   "admission queue bound (full = reject "
-                                   "with retry_after_ms)");
-  auto batch_max = flags.add_int("batch-max", 32,
-                                 "max requests per dispatcher batch");
-  auto cache_entries = flags.add_int("cache-entries", 256,
-                                     "result cache capacity (LRU beyond)");
-  auto max_request = flags.add_int("max-request", 65536,
-                                   "max request line length in bytes");
+  auto queue_depth = flags.add_uint64("queue-depth", 256,
+                                      "admission queue bound (full = reject "
+                                      "with retry_after_ms)");
+  auto batch_max = flags.add_uint64("batch-max", 32,
+                                    "max requests per dispatcher batch");
+  auto cache_entries = flags.add_uint64("cache-entries", 256,
+                                        "result cache capacity (LRU beyond)");
+  auto max_request = flags.add_uint64("max-request", 65536,
+                                      "max request line length in bytes");
   auto retry_ms = flags.add_int("retry-after-ms", 25,
                                 "backpressure hint sent on rejection");
-  auto workers = flags.add_int("workers", 0,
-                               "dedicated runner threads (0 = the shared "
-                               "hardware-sized pool)");
+  auto workers = flags.add_uint64("workers", 0,
+                                  "dedicated runner threads (0 = the shared "
+                                  "hardware-sized pool)");
   auto argv = to_argv(args);
   flags.parse(static_cast<int>(argv.size()), argv.data());
 
   std::unique_ptr<util::TaskRunner> own_runner;
   if (*workers > 0) {
-    own_runner = std::make_unique<util::TaskRunner>(
-        static_cast<std::size_t>(*workers));
+    own_runner = std::make_unique<util::TaskRunner>(*workers);
   }
   serve::ServerConfig config;
   config.host = *host;
   config.port = static_cast<int>(*port);
-  config.queue_capacity = static_cast<std::size_t>(*queue_depth);
-  config.batch_max = static_cast<std::size_t>(*batch_max);
-  config.cache_capacity = static_cast<std::size_t>(*cache_entries);
-  config.max_request_bytes = static_cast<std::size_t>(*max_request);
+  config.queue_capacity = *queue_depth;
+  config.batch_max = *batch_max;
+  config.cache_capacity = *cache_entries;
+  config.max_request_bytes = *max_request;
   config.retry_after_ms = static_cast<int>(*retry_ms);
   config.runner = own_runner.get();
   serve::Server server(config);

@@ -8,7 +8,6 @@
 #include <stdexcept>
 
 #include "util/stable_vector.hpp"
-#include "util/table.hpp"
 
 namespace ll::cluster {
 namespace {
@@ -132,7 +131,6 @@ struct ClusterSim::Impl {
   // Observability (all optional; nullptr = detached, zero work). The
   // metric objects live inside the attached registry; we cache raw
   // pointers so the hot path pays only the null check.
-  obs::Timeline* timeline = nullptr;
   obs::Counter* m_submitted = nullptr;
   obs::Counter* m_completed = nullptr;
   obs::Counter* m_migrations = nullptr;
@@ -147,9 +145,18 @@ struct ClusterSim::Impl {
   obs::TimeWeighted* tw_idle = nullptr;
 
   // Flight-recorder tracer (nullptr = detached) with its labels interned
-  // once at attach time so the emit sites pay only the null check.
+  // once at attach time so the emit sites pay only the null check. It is
+  // the one record of job and node transitions: the job lifecycle and the
+  // node idle/busy flips as instants (arg = job id or node index), plus
+  // the fault and migration spans and instants.
   obs::Tracer* tracer = nullptr;
   struct TraceLabels {
+    std::uint32_t job_queued = 0;
+    std::uint32_t job_running = 0;
+    std::uint32_t job_lingering = 0;
+    std::uint32_t job_done = 0;
+    std::uint32_t node_idle = 0;
+    std::uint32_t node_busy = 0;
     std::uint32_t migration = 0;
     std::uint32_t mig_retry = 0;
     std::uint32_t mig_abort = 0;
@@ -274,10 +281,7 @@ struct ClusterSim::Impl {
 
   void update_sample(std::size_t i) {
     Node& n = nodes[i];
-    const std::size_t count = n.trace->samples().size();
-    const auto window =
-        (n.offset_windows +
-         static_cast<std::size_t>(std::floor(now() / period + 1e-9))) % count;
+    const std::size_t window = current_window(n);
     double util = std::clamp(n.trace->samples()[window].cpu, 0.0, 1.0);
     const bool was_idle = is_idle(i);
     bool idle = (*n.flags)[window];
@@ -416,30 +420,19 @@ struct ClusterSim::Impl {
     ctx.node_utilization = node_util[node_idx];
     ctx.idle_utilization = self.idle_util_;
     ctx.migration_cost = migration_cost(job);
-    if (n.remaining) {
-      const std::size_t count = n.trace->samples().size();
-      const auto window =
-          (n.offset_windows +
-           static_cast<std::size_t>(std::floor(now() / period + 1e-9))) %
-          count;
-      ctx.episode_remaining = (*n.remaining)[window];
-    }
+    if (n.remaining) ctx.episode_remaining = (*n.remaining)[current_window(n)];
     const core::Decision d = policy->on_nonidle(ctx);
+    if (integrate(id)) {
+      complete(id);
+      return;
+    }
 
     switch (d.action) {
       case core::Decision::Action::Continue:
-        if (integrate(id)) {
-          complete(id);
-          return;
-        }
         job.set_state(JobState::Lingering, now());
         reschedule_completion(id);
         break;
       case core::Decision::Action::Linger:
-        if (integrate(id)) {
-          complete(id);
-          return;
-        }
         job.set_state(JobState::Lingering, now());
         reschedule_completion(id);
         r.recheck_event =
@@ -447,10 +440,6 @@ struct ClusterSim::Impl {
                             [this, id] { on_recheck(id); }, kTagRecheck);
         break;
       case core::Decision::Action::Pause:
-        if (integrate(id)) {
-          complete(id);
-          return;
-        }
         job.set_state(JobState::Paused, now());
         reschedule_completion(id);  // clears the rate / completion event
         r.recheck_event =
@@ -461,17 +450,9 @@ struct ClusterSim::Impl {
         r.wants_migration = true;
         if (policy->allows_lingering()) {
           // Keep executing while a target is sought.
-          if (integrate(id)) {
-            complete(id);
-            return;
-          }
           job.set_state(JobState::Lingering, now());
           reschedule_completion(id);
         } else {
-          if (integrate(id)) {
-            complete(id);
-            return;
-          }
           job.set_state(JobState::Paused, now());
           reschedule_completion(id);
           if (!r.displaced) {
@@ -498,6 +479,22 @@ struct ClusterSim::Impl {
     handle_nonidle(id);
     refresh_node_rates(node_idx);  // pausing/resuming shifts the shares
     placement();
+  }
+
+  /// Owner returned (the node just went non-idle): every occupant faces
+  /// the policy at once.
+  void handle_busy_transition(std::size_t node_idx) {
+    const std::vector<JobId> snapshot = nodes[node_idx].occupants;
+    for (JobId id : snapshot) {
+      const JobState s = self.jobs_[id].state;
+      if (s == JobState::Done || s == JobState::Checkpointing) continue;
+      if (integrate(id)) {
+        complete(id);
+      } else {
+        handle_nonidle(id);
+      }
+    }
+    refresh_node_rates(node_idx);
   }
 
   /// Owner departed: the node's occupants run at full (idle-node) terms.
@@ -527,10 +524,8 @@ struct ClusterSim::Impl {
     JobRuntime& r = rt[id];
     JobRecord& job = self.jobs_[id];
     const bool idle = is_idle(node_idx);
-    if (timeline) {
-      timeline->record(now(), util::format("job %zu", static_cast<std::size_t>(id)),
-                       idle ? "running" : "lingering",
-                       util::format("node %zu", node_idx));
+    if (tracer) {
+      tracer->instant(idle ? tl.job_running : tl.job_lingering, now(), id);
     }
     n.occupants.push_back(id);
     sync_slots(node_idx);
@@ -589,10 +584,6 @@ struct ClusterSim::Impl {
     ++inflight_migrations;
     ++self.migrations_;
     if (m_migrations) m_migrations->add();
-    if (timeline) {
-      timeline->record(now(), util::format("job %zu", static_cast<std::size_t>(id)), "migrating",
-                       util::format("-> node %zu", target_idx));
-    }
     r.mig_source = source;
     r.mig_target = static_cast<int>(target_idx);
     r.mig_attempts = 0;
@@ -614,11 +605,6 @@ struct ClusterSim::Impl {
       if (r.mig_attempts < cfg.faults.link.max_retries) {
         ++r.mig_attempts;
         ++self.migration_retries_;
-        if (timeline) {
-          timeline->record(now(), util::format("job %zu", static_cast<std::size_t>(id)),
-                           "transfer dropped",
-                           util::format("retry %zu", r.mig_attempts));
-        }
         if (tracer) tracer->instant(tl.mig_retry, now(), id);
         r.mig_event = sim.schedule_in(
             cfg.faults.link.retry_backoff + migration_cost(self.jobs_[id]),
@@ -773,7 +759,7 @@ struct ClusterSim::Impl {
     --self.active_jobs_;
     if (m_completed) m_completed->add();
     if (g_delivered) g_delivered->set(self.delivered_cpu_);
-    if (timeline) timeline->record(now(), util::format("job %zu", static_cast<std::size_t>(id)), "done");
+    if (tracer) tracer->instant(tl.job_done, now(), id);
     if (on_complete) on_complete(job);
     placement();
   }
@@ -823,10 +809,6 @@ struct ClusterSim::Impl {
     Node& n = nodes[idx];
     ++self.crashes_;
     if (m_crashes) m_crashes->add();
-    if (timeline) {
-      timeline->record(now(), util::format("node %zu", idx), "crashed",
-                       util::format("down %.1f s", downtime));
-    }
     if (tracer) tracer->instant(tl.crash, now(), idx);
     const double until = now() + downtime;
     if (node_down[idx] != 0) {
@@ -882,9 +864,8 @@ struct ClusterSim::Impl {
     if (tracer) tracer->virtual_span(tl.outage, n.down_since, now(), idx);
     update_sample(idx);
     node_episode[idx] = now();
-    if (timeline) {
-      timeline->record(now(), util::format("node %zu", idx),
-                       is_idle(idx) ? "recovered idle" : "recovered busy");
+    if (tracer) {
+      tracer->instant(is_idle(idx) ? tl.node_idle : tl.node_busy, now(), idx);
     }
     placement();
   }
@@ -900,26 +881,13 @@ struct ClusterSim::Impl {
       node_util[idx] = std::max(node_util[idx], n.forced_util);
       if (was_idle) {
         node_episode[idx] = now();
-        if (timeline) {
-          timeline->record(now(), util::format("node %zu", idx), "storm",
-                           util::format("util %.2f", node_util[idx]));
-        }
         if (tracer) tracer->instant(tl.storm, now(), idx);
-        // Exactly the owner-returned path of tick(): every occupant faces
-        // the policy at once — the storm's point is simultaneous eviction
-        // pressure across the membership set.
-        const std::vector<JobId> snapshot = n.occupants;
-        for (JobId id : snapshot) {
-          const JobState s = self.jobs_[id].state;
-          if (s == JobState::Done || s == JobState::Checkpointing) continue;
-          if (integrate(id)) {
-            complete(id);
-          } else {
-            handle_nonidle(id);
-          }
-        }
+        // The owner-returned path of tick(): the storm's point is
+        // simultaneous eviction pressure across the membership set.
+        handle_busy_transition(idx);
+      } else {
+        refresh_node_rates(idx);
       }
-      refresh_node_rates(idx);
     }
     placement();
   }
@@ -930,10 +898,6 @@ struct ClusterSim::Impl {
       if (node_down[idx] != 0 || !cfg.model_memory || !n.pool) continue;
       n.pressure_until = std::max(n.pressure_until, now() + ev.duration);
       n.pressure_kb = std::max(n.pressure_kb, cfg.faults.pressure.extra_kb);
-      if (timeline) {
-        timeline->record(now(), util::format("node %zu", idx), "mem pressure",
-                         util::format("+%u KB", n.pressure_kb));
-      }
       if (tracer) tracer->instant(tl.pressure, now(), idx);
       // Re-split the page pool under the spike without re-reading the
       // owner-activity half of the window; the spike decays at the first
@@ -987,10 +951,6 @@ struct ClusterSim::Impl {
     job.set_state(JobState::Queued, now());
     r.last_update = now();
     queue.push_back(id);
-    if (timeline) {
-      timeline->record(now(), util::format("job %zu", static_cast<std::size_t>(id)),
-                       "requeued", util::format("lost %.2f s", lost));
-    }
     if (tracer) tracer->instant(tl.requeue, now(), id);
   }
 
@@ -1039,10 +999,6 @@ struct ClusterSim::Impl {
     const auto node_idx = static_cast<std::size_t>(r.node);
     job.set_state(JobState::Checkpointing, now());
     r.ckpt_start = now();
-    if (timeline) {
-      timeline->record(now(), util::format("job %zu", static_cast<std::size_t>(id)),
-                       "checkpointing");
-    }
     refresh_node_rates(node_idx);  // the writer stops sharing the CPU
     r.checkpoint_event = sim.schedule_in(
         cfg.checkpoint.cost(job.bytes), [this, id] { finish_checkpoint(id); },
@@ -1080,25 +1036,11 @@ struct ClusterSim::Impl {
     for (std::size_t i = 0; i < n_count; ++i) {
       const bool was_idle = is_idle(i);
       update_sample(i);
-      if (timeline && was_idle != is_idle(i)) {
-        timeline->record(now(), util::format("node %zu", i),
-                         is_idle(i) ? "idle" : "busy",
-                         util::format("util %.2f", node_util[i]));
-      }
       if (was_idle && !is_idle(i)) {
-        // Owner returned mid-run: consult the policy for every occupant.
-        const std::vector<JobId> snapshot = nodes[i].occupants;
-        for (JobId id : snapshot) {
-          const JobState s = self.jobs_[id].state;
-          if (s == JobState::Done || s == JobState::Checkpointing) continue;
-          if (integrate(id)) {
-            complete(id);
-          } else {
-            handle_nonidle(id);
-          }
-        }
-        refresh_node_rates(i);
+        if (tracer) tracer->instant(tl.node_busy, now(), i);
+        handle_busy_transition(i);
       } else if (!was_idle && is_idle(i)) {
+        if (tracer) tracer->instant(tl.node_idle, now(), i);
         handle_idle_transition(i);
       } else if (node_occ[i] != 0) {
         // Same state, possibly new utilization level: refresh the shares.
@@ -1257,10 +1199,7 @@ JobId ClusterSim::submit(double cpu_demand_seconds) {
   im.rt.back().last_update = im.now();
   ++active_jobs_;
   if (im.m_submitted) im.m_submitted->add();
-  if (im.timeline) {
-    im.timeline->record(im.now(), util::format("job %zu", static_cast<std::size_t>(id)), "queued",
-                        util::format("demand %.1f s", cpu_demand_seconds));
-  }
+  if (im.tracer) im.tracer->instant(im.tl.job_queued, im.now(), id);
   im.queue.push_back(id);
   im.ensure_tick();
   im.placement();
@@ -1331,14 +1270,16 @@ void ClusterSim::set_metrics(obs::MetricRegistry* registry) {
   im.note_metrics();
 }
 
-void ClusterSim::set_timeline(obs::Timeline* timeline) {
-  impl_->timeline = timeline;
-}
-
 void ClusterSim::set_tracer(obs::Tracer* tracer) {
   Impl& im = *impl_;
   im.tracer = tracer;
   if (!tracer) return;
+  im.tl.job_queued = tracer->label("cluster.job.queued");
+  im.tl.job_running = tracer->label("cluster.job.running");
+  im.tl.job_lingering = tracer->label("cluster.job.lingering");
+  im.tl.job_done = tracer->label("cluster.job.done");
+  im.tl.node_idle = tracer->label("cluster.node.idle");
+  im.tl.node_busy = tracer->label("cluster.node.busy");
   im.tl.migration = tracer->label("cluster.migration");
   im.tl.mig_retry = tracer->label("cluster.migration.retry");
   im.tl.mig_abort = tracer->label("cluster.migration.abort");

@@ -38,7 +38,6 @@
 #include "fault/checkpoint.hpp"
 #include "fault/fault_spec.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timeline.hpp"
 #include "obs/tracer.hpp"
 #include "node/effective_rate.hpp"
 #include "node/memory_model.hpp"
@@ -206,16 +205,14 @@ class ClusterSim {
   /// digest suite pins this). The registry must outlive its registration.
   void set_metrics(obs::MetricRegistry* registry);
 
-  /// Attaches a ring-buffered timeline (nullptr detaches) recording job
-  /// state transitions and node idle/busy flips. Same observational-only
-  /// contract as set_metrics.
-  void set_timeline(obs::Timeline* timeline);
-
-  /// Attaches a flight-recorder tracer (nullptr detaches) emitting
-  /// virtual-time spans for migrations, checkpoint writes, and node
-  /// outages, plus instants for crashes, storms, pressure spikes, link
-  /// retries, and requeues. Same observational-only contract as
-  /// set_metrics; the tracer must outlive its registration.
+  /// Attaches a flight-recorder tracer (nullptr detaches), the record of
+  /// every job and node transition. Instants: a job queued, placed running
+  /// or lingering, and done (arg = job id); a node flipping idle or busy,
+  /// in a window tick or on recovery (arg = node index); crashes, storms,
+  /// pressure spikes, link retries, and requeues. Virtual-time spans:
+  /// migrations, checkpoint writes, and node outages. Same
+  /// observational-only contract as set_metrics; the tracer must outlive
+  /// its registration.
   void set_tracer(obs::Tracer* tracer);
 
   /// Attaches an observer to the internal event engine (nullptr detaches;

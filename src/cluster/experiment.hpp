@@ -79,7 +79,7 @@ struct ExperimentConfig {
 
 /// Observability hooks for the run drivers of engine `Sim`. `on_start`
 /// fires right after the simulator is constructed (attach metrics
-/// registries, timelines, engine observers); `on_finish` fires after the
+/// registries, tracers, engine observers); `on_finish` fires after the
 /// run completes but while the simulator is still alive (snapshot the
 /// profiler against the engine). Hooks must be observational only:
 /// attaching them must not change the simulated behavior (the

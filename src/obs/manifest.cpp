@@ -27,9 +27,7 @@ void write_manifest_json(const RunManifest& manifest, std::ostream& out) {
   }
   if (manifest.trace) {
     const TraceStats& t = *manifest.trace;
-    out << ",\n  \"trace\": {\"timeline_recorded\": " << t.timeline_recorded
-        << ", \"timeline_dropped\": " << t.timeline_dropped
-        << ", \"tracer_recorded\": " << t.tracer_recorded
+    out << ",\n  \"trace\": {\"tracer_recorded\": " << t.tracer_recorded
         << ", \"tracer_dropped\": " << t.tracer_dropped << "}";
   }
   if (manifest.shards) {

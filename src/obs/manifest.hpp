@@ -22,12 +22,10 @@
 
 namespace ll::obs {
 
-/// Ring-buffer accounting for the run's observability captures. Non-zero
-/// drop counts mean the timeline/trace data is a truncated suffix — the
-/// manifest surfaces that so truncation is never silent.
+/// Ring-buffer accounting for the run's flight-recorder tracer. A non-zero
+/// drop count means the trace data is a truncated suffix — the manifest
+/// surfaces that so truncation is never silent.
 struct TraceStats {
-  std::uint64_t timeline_recorded = 0;
-  std::uint64_t timeline_dropped = 0;
   std::uint64_t tracer_recorded = 0;
   std::uint64_t tracer_dropped = 0;
 };
@@ -56,8 +54,9 @@ struct RunManifest {
   /// (`llsim faults`, the fault benches); absent on fault-free tools.
   std::optional<double> goodput;    ///< delivered / (delivered + work_lost)
   std::optional<double> work_lost;  ///< CPU-seconds computed then rolled back
-  /// Observability-capture accounting ("trace" object), set by tools that
-  /// attach a Timeline and/or Tracer; absent otherwise.
+  /// Tracer accounting ("trace" object), set by tools that attach an
+  /// obs::Tracer (`llsim trace`, `llsim profile --timeline`); absent
+  /// otherwise.
   std::optional<TraceStats> trace;
   /// Sharded-engine accounting ("shards" object), set when the run used
   /// the conservative time-windowed engine (`--shards K`); absent otherwise.

@@ -8,7 +8,6 @@
 
 #include "des/simulation.hpp"
 #include "parallel/reconfig.hpp"
-#include "util/table.hpp"
 
 namespace ll::parallel {
 namespace {
@@ -94,16 +93,6 @@ struct ParallelClusterSim::Impl {
   obs::Gauge* g_delivered = nullptr;
   obs::TimeWeighted* tw_queue = nullptr;
   obs::TimeWeighted* tw_busy = nullptr;
-  obs::Timeline* timeline = nullptr;
-
-  void note_transition(std::uint32_t id, std::string_view state,
-                       std::string detail = {}) {
-    if (timeline) {
-      timeline->record(now(),
-                       util::format("job %zu", static_cast<std::size_t>(id)),
-                       state, detail);
-    }
-  }
 
   void note_metrics() {
     if (tw_queue) tw_queue->set(now(), static_cast<double>(queue.size()));
@@ -265,8 +254,6 @@ struct ParallelClusterSim::Impl {
     job.start_time = now();
     job.width = r.assigned.size();
     job.idle_at_dispatch = idle;
-    note_transition(id, "running",
-                    util::format("width %zu", r.assigned.size()));
     schedule_phase(id);
   }
 
@@ -296,8 +283,6 @@ struct ParallelClusterSim::Impl {
           self.delivered_work_ += work_done;
           if (m_phases) m_phases->add();
           if (g_delivered) g_delivered->set(self.delivered_work_);
-          note_transition(id, "phase",
-                          util::format("remaining %.3f", job_rt.remaining));
           if (job_rt.remaining <= 1e-9) {
             complete(id);
           } else {
@@ -316,7 +301,6 @@ struct ParallelClusterSim::Impl {
     job.completion = now();
     --self.active_jobs_;
     if (m_completed) m_completed->add();
-    note_transition(id, "done");
     if (on_complete) on_complete(job);
     try_dispatch();
   }
@@ -367,10 +351,6 @@ struct ParallelClusterSim::Impl {
     }
     n.down = true;
     n.down_until = until;
-    if (timeline) {
-      timeline->record(now(), util::format("node %zu", idx), "crashed",
-                       util::format("down %.1f s", downtime));
-    }
     // The hosted process dies mid-phase: the barrier can never complete, so
     // the whole phase aborts and every member of the job stalls until the
     // node is back (work is only credited at phase completion, so the
@@ -383,7 +363,6 @@ struct ParallelClusterSim::Impl {
         r.phase_event = des::kNoEvent;
         ++self.jobs_[id].restarts;
         ++self.restarts_;
-        note_transition(id, "stalled", util::format("node %zu down", idx));
       }
       r.stalled = true;
     }
@@ -396,9 +375,6 @@ struct ParallelClusterSim::Impl {
     if (!n.down) return;
     if (now() + 1e-9 < n.down_until) return;  // superseded by a longer outage
     n.down = false;
-    if (timeline) {
-      timeline->record(now(), util::format("node %zu", idx), "recovered");
-    }
     if (n.job >= 0) {
       const auto id = static_cast<std::uint32_t>(n.job);
       JobRuntime& r = rt[id];
@@ -412,7 +388,6 @@ struct ParallelClusterSim::Impl {
               JobRuntime& job_rt = rt[id];
               if (!job_rt.stalled || !all_members_up(job_rt)) return;
               job_rt.stalled = false;
-              note_transition(id, "restarted");
               schedule_phase(id);
             },
             ParallelClusterSim::kTagFault);
@@ -536,8 +511,6 @@ std::uint32_t ParallelClusterSim::submit(ParallelJobSpec spec) {
   im.rt.push_back(std::move(runtime));
   ++active_jobs_;
   if (im.m_submitted) im.m_submitted->add();
-  im.note_transition(id, "queued",
-                     util::format("work %.0f", record.total_work));
   im.queue.push_back(id);
   im.try_dispatch();
   return id;
@@ -558,10 +531,6 @@ void ParallelClusterSim::set_metrics(obs::MetricRegistry* registry) {
   im.tw_queue = &registry->time_weighted("parallel.queue_length");
   im.tw_busy = &registry->time_weighted("parallel.busy_nodes");
   im.note_metrics();
-}
-
-void ParallelClusterSim::set_timeline(obs::Timeline* timeline) {
-  impl_->timeline = timeline;
 }
 
 des::SimObserver* ParallelClusterSim::set_sim_observer(

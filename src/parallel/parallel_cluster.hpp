@@ -36,7 +36,6 @@
 #include "des/simulation.hpp"
 #include "fault/fault_spec.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timeline.hpp"
 #include "parallel/bsp.hpp"
 #include "rng/rng.hpp"
 #include "trace/records.hpp"
@@ -142,12 +141,6 @@ class ParallelClusterSim {
   /// virtual time. Observational only — never changes simulated behavior.
   /// The registry must outlive its registration.
   void set_metrics(obs::MetricRegistry* registry);
-
-  /// Attaches a state-transition timeline (nullptr detaches): BSP job
-  /// dispatch/phase/completion transitions, one record per boundary. Same
-  /// observational-only contract as set_metrics; the timeline must outlive
-  /// its registration.
-  void set_timeline(obs::Timeline* timeline);
 
   /// Attaches an observer to the internal event engine (nullptr detaches;
   /// returns the previous observer). Phase completions carry tag

@@ -391,6 +391,16 @@ void ShardedClusterSim::finish_checkpoint(Shard& sh, std::size_t i, double t) {
   arm_completion(sh, i, t);
 }
 
+void ShardedClusterSim::rollback(cluster::JobId id, std::size_t charge_node,
+                                 double t) {
+  cluster::JobRecord& job = jobs_[id];
+  const double progress = job.cpu_demand - job.remaining;
+  node_lost_[charge_node] += std::max(0.0, progress - job.checkpointed);
+  job.remaining = job.cpu_demand - job.checkpointed;
+  ++job.restarts;
+  job.set_state(cluster::JobState::Queued, t);
+}
+
 void ShardedClusterSim::crash_node(Shard& sh, std::size_t i, double t,
                                    double duration) {
   integrate_to(i, t);
@@ -403,13 +413,8 @@ void ShardedClusterSim::crash_node(Shard& sh, std::size_t i, double t,
   disarm_node(sh, i);
   const cluster::JobId id = node_occupant_[i];
   if (id == kNoJob) return;
-  cluster::JobRecord& job = jobs_[id];
-  const double progress = job.cpu_demand - job.remaining;
-  node_lost_[i] += std::max(0.0, progress - job.checkpointed);
-  job.remaining = job.cpu_demand - job.checkpointed;
-  ++job.restarts;
+  rollback(id, i, t);
   ++sh.restarts;
-  job.set_state(cluster::JobState::Queued, t);
   node_occupant_[i] = kNoJob;
   job_node_[id] = kNoNode;
   job_intent_[id] = 0;
@@ -528,18 +533,6 @@ void ShardedClusterSim::place_queue(double t) {
   }
 }
 
-void ShardedClusterSim::rollback_requeue(cluster::JobId id,
-                                         std::size_t charge_node, double t) {
-  cluster::JobRecord& job = jobs_[id];
-  const double progress = job.cpu_demand - job.remaining;
-  node_lost_[charge_node] += std::max(0.0, progress - job.checkpointed);
-  job.remaining = job.cpu_demand - job.checkpointed;
-  ++job.restarts;
-  ++restarts_;
-  job.set_state(cluster::JobState::Queued, t);
-  queue_.push_back(id);
-}
-
 void ShardedClusterSim::start_transfer(cluster::JobId id, std::size_t from,
                                        std::size_t to, double t) {
   cluster::JobRecord& job = jobs_[id];
@@ -562,7 +555,9 @@ void ShardedClusterSim::start_transfer(cluster::JobId id, std::size_t from,
     if (drops > link.max_retries) {
       ++aborts_;
       retries_ += link.max_retries;
-      rollback_requeue(id, from, t);
+      rollback(id, from, t);
+      ++restarts_;
+      queue_.push_back(id);
       return;
     }
     retries_ += drops;
@@ -585,12 +580,8 @@ void ShardedClusterSim::start_transfer(cluster::JobId id, std::size_t from,
           // Dead endpoint: the image cannot land; roll back to the last
           // checkpoint and re-queue at the next barrier.
           ++sh.aborts;
-          const double progress = arrived.cpu_demand - arrived.remaining;
-          node_lost_[to] += std::max(0.0, progress - arrived.checkpointed);
-          arrived.remaining = arrived.cpu_demand - arrived.checkpointed;
-          ++arrived.restarts;
+          rollback(id, to, at);
           ++sh.restarts;
-          arrived.set_state(cluster::JobState::Queued, at);
           sh.requeues.push_back({at, id});
           return;
         }

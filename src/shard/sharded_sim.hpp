@@ -189,6 +189,11 @@ class ShardedClusterSim {
   void complete_job(Shard& sh, std::size_t i, double t);
   void apply_fault(Shard& sh, const fault::FaultEvent& ev);
   void crash_node(Shard& sh, std::size_t i, double t, double duration);
+  /// Rolls a job back to its last checkpoint and marks it Queued: charges
+  /// the lost work to `charge_node`, resets `remaining`, and bumps the
+  /// job's restart count. Callers keep their own restart counter and their
+  /// own re-queue path (coordinator queue or shard mailbox).
+  void rollback(cluster::JobId id, std::size_t charge_node, double t);
   void start_checkpoint(Shard& sh, std::size_t i, double t);
   void finish_checkpoint(Shard& sh, std::size_t i, double t);
   void occupant_policy(Shard& sh, std::size_t i, double t);
@@ -202,7 +207,6 @@ class ShardedClusterSim {
   void place_job(cluster::JobId id, std::size_t target, double t);
   void start_transfer(cluster::JobId id, std::size_t from, std::size_t to,
                       double t);
-  void rollback_requeue(cluster::JobId id, std::size_t charge_node, double t);
   [[nodiscard]] std::size_t best_target(double t, std::size_t exclude,
                                         bool idle_only) const;
   [[nodiscard]] Shard& shard_of(std::size_t node);

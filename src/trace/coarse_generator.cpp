@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "rng/distributions.hpp"
 
@@ -34,6 +35,10 @@ double sample_normal(rng::Stream& s) {
 
 CoarseTrace generate_coarse_trace(const CoarseGenConfig& cfg,
                                   rng::Stream stream) {
+  if (!std::isfinite(cfg.duration) || cfg.duration < 0.0) {
+    throw std::invalid_argument(
+        "generate_coarse_trace: duration must be finite and >= 0");
+  }
   rng::Stream sessions = stream.fork("sessions");
   rng::Stream typing = stream.fork("typing");
   rng::Stream cpu = stream.fork("cpu");

@@ -84,7 +84,8 @@ struct CoarseGenConfig {
   double mem_walk_reversion = 0.02;     // pull back toward the session base
 };
 
-/// Generates one machine trace. Deterministic in (config, stream).
+/// Generates one machine trace. Deterministic in (config, stream). Throws
+/// std::invalid_argument when the duration is negative or not finite.
 [[nodiscard]] CoarseTrace generate_coarse_trace(const CoarseGenConfig& config,
                                                 rng::Stream stream);
 

@@ -57,7 +57,7 @@ struct ScenarioOptions {
   /// anything non-observational breaks the purity contract above.
   std::function<des::SimObserver*(des::SimObserver* inner)> wrap_observer;
   /// Optional: runs right after a scenario constructs a ClusterSim (attach
-  /// a metrics registry / timeline). Same observational-only contract.
+  /// a metrics registry / tracer). Same observational-only contract.
   std::function<void(cluster::ClusterSim&)> cluster_hook;
   /// Shard count for the cluster-backed scenarios. 0 (the default) runs the
   /// monolithic ClusterSim against the base goldens. K >= 1 runs the

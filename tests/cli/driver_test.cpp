@@ -498,6 +498,79 @@ TEST_F(CliTest, ProfileReportsWallClockTotals) {
   EXPECT_NE(r.out.find("callback share"), std::string::npos);
 }
 
+TEST_F(CliTest, ProfileTimelinePrintsLastTracerRecords) {
+  const std::string manifest_path = path("profile.json");
+  const CliResult r =
+      run({"profile", "--policy=LL", "--nodes=4", "--jobs=6", "--demand=60",
+           "--machines=2", "--days=0.2", "--seed=5", "--timeline=5",
+           "--metrics-out=" + manifest_path});
+  ASSERT_EQ(r.code, 0) << r.err;
+  const std::string header = "timeline (last 5 of ";
+  const auto at = r.out.find(header);
+  ASSERT_NE(at, std::string::npos) << r.out;
+  std::istringstream lines(r.out.substr(at + header.size()));
+  std::uint64_t recorded = 0;
+  std::string line;
+  lines >> recorded;
+  std::getline(lines, line);
+  EXPECT_EQ(line, " tracer records):");
+  ASSERT_GT(recorded, 5u);
+  std::getline(lines, line);
+  EXPECT_EQ(line, "(" + std::to_string(recorded - 5) +
+                      " earlier records dropped)");
+
+  // Exactly five records, oldest first: "<time>[ .. <end>]  <label>  <id>",
+  // ordered by when each was recorded (a span's end).
+  double last = 0.0;
+  bool done = false;
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(std::getline(lines, line));
+    std::istringstream fields(line);
+    double when = 0.0;
+    std::string label;
+    std::uint64_t id = 0;
+    fields >> when >> label;
+    if (label == "..") fields >> when >> label;
+    EXPECT_TRUE(fields >> id) << line;
+    EXPECT_GE(when, last) << line;
+    last = when;
+    done |= label == "cluster.job.done";
+  }
+  EXPECT_TRUE(done) << "no job-done record among the last five";
+  ASSERT_TRUE(std::getline(lines, line));
+  EXPECT_EQ(line, "") << "more than five records printed";
+
+  std::ifstream mf(manifest_path);
+  std::stringstream mbuf;
+  mbuf << mf.rdbuf();
+  const auto doc = util::json::parse(mbuf.str());
+  const auto* trace = doc.find("trace");
+  ASSERT_NE(trace, nullptr);
+  EXPECT_EQ(trace->find("tracer_recorded")->as_number(),
+            static_cast<double>(recorded));
+  EXPECT_EQ(trace->find("tracer_dropped")->as_number(),
+            static_cast<double>(recorded - 5));
+}
+
+TEST_F(CliTest, NegativeCountsAndDurationsAreRejected) {
+  // Each of these used to wrap a negative count to SIZE_MAX (or cast a
+  // negative trace length to an unsigned sample count) and then stall or
+  // die inside the standard library.
+  const std::vector<std::vector<std::string>> cases = {
+      {"cluster", "--jobs=-1"},     {"profile", "--jobs=-1"},
+      {"faults", "--jobs=-1"},      {"parallel", "--jobs=-1"},
+      {"cluster", "--nodes=-1"},    {"cluster", "--reps=-1"},
+      {"cluster", "--machines=-1"}, {"cluster", "--workers=-1"},
+      {"cluster", "--days=-1"},
+      {"traces", "--days=-1", "--out=" + path("t")},
+  };
+  for (const auto& args : cases) {
+    const CliResult r = run(args);
+    EXPECT_EQ(r.code, 1) << args[0] << " " << args[1];
+    EXPECT_EQ(r.err.rfind("llsim: ", 0), 0u) << args[0] << " " << args[1];
+  }
+}
+
 TEST_F(CliTest, DeterministicAcrossInvocations) {
   const std::vector<std::string> args = {
       "cluster", "--policy=LL",     "--nodes=8",  "--jobs=8",

@@ -1,18 +1,20 @@
 /// Observability-transparency regression suite: attaching the event-loop
-/// profiler (chained in front of the verify digest/invariant observers) and
-/// a metrics registry + timeline to a scenario's simulators must leave every
-/// pinned digest byte-identical. This is the load-bearing guarantee of the
-/// whole obs layer — instrumentation observes, it never perturbs.
+/// profiler (chained in front of the verify digest/invariant observers), a
+/// metrics registry, and a flight-recorder tracer to a scenario's
+/// simulators must leave every pinned digest byte-identical. This is the
+/// load-bearing guarantee of the whole obs layer — instrumentation
+/// observes, it never perturbs.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "cluster/cluster_sim.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
-#include "obs/timeline.hpp"
 #include "obs/tracer.hpp"
 #include "verify/scenarios.hpp"
 
@@ -47,7 +49,7 @@ TEST(GoldenObservability, ProfilerAttachmentLeavesDigestsIdentical) {
   }
 }
 
-TEST(GoldenObservability, MetricsAndTimelineLeaveClusterDigestsIdentical) {
+TEST(GoldenObservability, MetricsLeaveClusterDigestsIdentical) {
   bool any_cluster = false;
   for (const auto& scenario : scenarios()) {
     if (scenario.module != "cluster") continue;
@@ -57,26 +59,27 @@ TEST(GoldenObservability, MetricsAndTimelineLeaveClusterDigestsIdentical) {
     const ScenarioResult baseline = scenario.run(plain);
 
     obs::MetricRegistry registry;
-    obs::Timeline timeline(256);
     ScenarioOptions instrumented;
     instrumented.cluster_hook = [&](cluster::ClusterSim& sim) {
       sim.set_metrics(&registry);
-      sim.set_timeline(&timeline);
     };
     const ScenarioResult observed = scenario.run(instrumented);
 
     EXPECT_EQ(baseline.digest.value(), observed.digest.value())
-        << "metrics/timeline attachment perturbed the event stream";
+        << "metrics attachment perturbed the event stream";
     EXPECT_EQ(baseline.events, observed.events);
     EXPECT_GT(registry.size(), 0u);
-    EXPECT_GT(timeline.total_recorded(), 0u);
   }
   EXPECT_TRUE(any_cluster) << "no cluster scenario exercised the hook";
 }
 
 TEST(GoldenObservability, FullInstrumentationStackIsTransparent) {
-  // Profiler + metrics + timeline together, the way `llsim profile` attaches
-  // them — the combination must be as invisible as each piece alone.
+  // Profiler + metrics + tracer together, the way `llsim profile
+  // --timeline` attaches them — the combination must be as invisible as
+  // each piece alone. The tracer is the one record of job and node
+  // transitions, so the runs must also show every lifecycle label.
+  std::set<std::string> open_ll_labels;
+  std::set<std::string> all_labels;
   for (const auto& scenario : scenarios()) {
     if (scenario.module != "cluster") continue;
     SCOPED_TRACE(scenario.name);
@@ -85,7 +88,7 @@ TEST(GoldenObservability, FullInstrumentationStackIsTransparent) {
 
     std::vector<std::unique_ptr<obs::EventLoopProfiler>> profilers;
     obs::MetricRegistry registry;
-    obs::Timeline timeline(64);
+    obs::Tracer tracer(/*ring_capacity=*/1 << 12);
     ScenarioOptions instrumented;
     instrumented.wrap_observer = [&](des::SimObserver* inner) {
       profilers.push_back(std::make_unique<obs::EventLoopProfiler>(inner));
@@ -93,11 +96,31 @@ TEST(GoldenObservability, FullInstrumentationStackIsTransparent) {
     };
     instrumented.cluster_hook = [&](cluster::ClusterSim& sim) {
       sim.set_metrics(&registry);
-      sim.set_timeline(&timeline);
+      sim.set_tracer(&tracer);
     };
     const ScenarioResult observed = scenario.run(instrumented);
     EXPECT_EQ(baseline.digest.value(), observed.digest.value());
     EXPECT_EQ(baseline.events, observed.events);
+
+    const obs::Tracer::Snapshot snap = tracer.snapshot();
+    EXPECT_EQ(snap.dropped, 0u);
+    for (const auto& e : snap.records) {
+      const std::string& label = snap.labels[e.rec.label];
+      all_labels.insert(label);
+      if (scenario.name == "cluster-open-ll") open_ll_labels.insert(label);
+    }
+  }
+  // A linger-longer open run queues, places (idle and non-idle nodes) and
+  // finishes jobs. It is too short for an owner to come or go, so the
+  // node flips are checked across the cluster scenarios
+  // (cluster-closed-pm has both).
+  for (const char* label : {"cluster.job.queued", "cluster.job.running",
+                            "cluster.job.lingering", "cluster.job.done"}) {
+    EXPECT_TRUE(open_ll_labels.count(label)) << "cluster-open-ll has no "
+                                             << label << " record";
+  }
+  for (const char* label : {"cluster.node.idle", "cluster.node.busy"}) {
+    EXPECT_TRUE(all_labels.count(label)) << "no " << label << " record";
   }
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "trace/coarse_analysis.hpp"
 #include "trace/recruitment.hpp"
 
@@ -20,6 +23,20 @@ TEST(CoarseGenerator, ProducesRequestedLength) {
   const CoarseTrace t = generate_coarse_trace(cfg, rng::Stream(1));
   EXPECT_EQ(t.size(), 1800u);
   EXPECT_DOUBLE_EQ(t.period(), 2.0);
+}
+
+TEST(CoarseGenerator, RejectsNegativeOrNonFiniteDuration) {
+  CoarseGenConfig cfg;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {-1.0, -86400.0, -kInf, kInf,
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    cfg.duration = bad;
+    EXPECT_THROW((void)generate_coarse_trace(cfg, rng::Stream(1)),
+                 std::invalid_argument)
+        << bad;
+  }
+  cfg.duration = 0.0;  // an empty trace is still a valid request
+  EXPECT_EQ(generate_coarse_trace(cfg, rng::Stream(1)).size(), 0u);
 }
 
 TEST(CoarseGenerator, DeterministicInSeed) {
