@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   util::Flags flags("abl_memory_priority",
                     "Priority page pools vs ignoring memory entirely.");
   auto seed = flags.add_uint64("seed", 42, "RNG seed");
-  auto nodes = flags.add_int("nodes", 16, "cluster size");
+  auto nodes = flags.add_uint64("nodes", 16, "cluster size");
   auto csv_path = flags.add_string("csv", "", "optional CSV output path");
   flags.parse(argc, argv);
 

@@ -19,6 +19,7 @@
 
 #include "cluster/experiment.hpp"
 #include "common.hpp"
+#include "exp/pool_cache.hpp"
 #include "util/csv.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
@@ -29,8 +30,8 @@ int main(int argc, char** argv) {
   util::Flags flags("abl_owner_restore",
                     "Owner-side eviction restore-cost sweep.");
   auto seed = flags.add_uint64("seed", 42, "RNG seed");
-  auto nodes = flags.add_int("nodes", 32, "cluster size");
-  auto machines = flags.add_int("machines", 32, "distinct machine traces");
+  auto nodes = flags.add_uint64("nodes", 32, "cluster size");
+  auto machines = flags.add_uint64("machines", 32, "distinct machine traces");
   auto csv_path = flags.add_string("csv", "", "optional CSV output path");
   flags.parse(argc, argv);
 
@@ -39,7 +40,7 @@ int main(int argc, char** argv) {
                  "and caches must\nbe re-loaded after the guest leaves.",
                  *seed);
 
-  const auto pool = benchx::standard_pool(
+  const auto pool = exp::TracePoolCache::shared().standard(
       static_cast<std::size_t>(*machines), 24.0, *seed + 1);
   const auto& table = workload::default_burst_table();
 
@@ -55,7 +56,7 @@ int main(int argc, char** argv) {
     cfg.cluster.owner_restore_penalty = restore;
     cfg.workload = cluster::WorkloadSpec{64, 600.0};
     cfg.seed = *seed;
-    const auto r = cluster::run_closed(cfg, pool, table, 3600.0);
+    const auto r = cluster::run_closed(cfg, *pool, table, 3600.0);
     if (departures) *departures = r.migrations;
     return r.foreground_delay;
   };

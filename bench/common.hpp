@@ -2,35 +2,16 @@
 
 /// \file common.hpp
 /// Shared helpers for the bench binaries. Each bench reproduces one table or
-/// figure of the paper; these helpers keep the trace-pool construction and
-/// policy iteration identical across them so figures are comparable.
+/// figure of the paper; trace pools come from exp::TracePoolCache::standard,
+/// so figures built on the same pool dimensions are comparable.
 
 #include <array>
+#include <cstdint>
 #include <cstdio>
-#include <vector>
 
-#include "core/policy.hpp"
-#include "trace/coarse_generator.hpp"
 #include "workload/burst_table.hpp"
 
 namespace ll::benchx {
-
-/// The standard trace pool used by the cluster benches: full-day traces so
-/// the diurnal cycle is represented, as in the paper's 40-day Berkeley
-/// traces (length is the configurable compromise for bench runtime).
-inline std::vector<trace::CoarseTrace> standard_pool(std::size_t machines,
-                                                     double hours,
-                                                     std::uint64_t seed) {
-  trace::CoarseGenConfig gen;
-  gen.duration = hours * 3600.0;
-  // Short pools cover working hours; full days start at midnight.
-  gen.start_hour = hours < 24.0 ? 9.0 : 0.0;
-  return trace::generate_machine_pool(gen, machines, rng::Stream(seed));
-}
-
-inline constexpr std::array<core::PolicyKind, 4> kAllPolicies{
-    core::PolicyKind::LingerLonger, core::PolicyKind::LingerForever,
-    core::PolicyKind::ImmediateEviction, core::PolicyKind::PauseAndMigrate};
 
 /// Burst table with the same means as the default but exponential (cv^2=1)
 /// burst durations — the abl_burst_model ablation of design decision #3.

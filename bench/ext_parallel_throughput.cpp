@@ -15,6 +15,7 @@
 #include <cstdio>
 
 #include "common.hpp"
+#include "exp/pool_cache.hpp"
 #include "parallel/parallel_cluster.hpp"
 #include "stats/summary.hpp"
 #include "util/csv.hpp"
@@ -27,8 +28,9 @@ int main(int argc, char** argv) {
   util::Flags flags("ext_parallel_throughput",
                     "Cluster throughput for parallel jobs (paper future work).");
   auto seed = flags.add_uint64("seed", 42, "RNG seed");
-  auto nodes = flags.add_int("nodes", 32, "cluster size");
-  auto jobs_in_system = flags.add_int("jobs", 4, "parallel jobs held in system");
+  auto nodes = flags.add_uint64("nodes", 32, "cluster size");
+  auto jobs_in_system =
+      flags.add_uint64("jobs", 4, "parallel jobs held in system");
   auto work = flags.add_double("work", 300.0, "cpu-seconds per job");
   auto duration = flags.add_double("duration", 7200.0, "simulated seconds");
   auto csv_path = flags.add_string("csv", "", "optional CSV output path");
@@ -50,9 +52,8 @@ int main(int argc, char** argv) {
   };
   for (const PoolSpec& spec :
        {PoolSpec{"full-day pool", 24.0}, PoolSpec{"working-hours pool", 8.0}}) {
-    const auto pool =
-        benchx::standard_pool(static_cast<std::size_t>(*nodes), spec.hours,
-                              *seed + 1);
+    const auto pool = exp::TracePoolCache::shared().standard(
+        static_cast<std::size_t>(*nodes), spec.hours, *seed + 1);
 
     util::Table out({"policy", "work/s", "jobs/h", "mean turnaround (s)",
                      "mean width", "mean queue wait (s)"});
@@ -69,14 +70,14 @@ int main(int argc, char** argv) {
       job.bsp.granularity = 0.5;
       job.max_width = static_cast<std::size_t>(*nodes);
 
-      parallel::ParallelClusterSim sim(cfg, pool,
+      parallel::ParallelClusterSim sim(cfg, *pool,
                                        workload::default_burst_table(),
                                        rng::Stream(*seed).fork(
                                            spec.name,
                                            static_cast<std::uint64_t>(policy)));
       sim.set_completion_callback(
           [&sim, job](const parallel::ParallelJobRecord&) { sim.submit(job); });
-      for (int j = 0; j < *jobs_in_system; ++j) sim.submit(job);
+      for (std::uint64_t j = 0; j < *jobs_in_system; ++j) sim.submit(job);
       sim.run_for(*duration);
 
       stats::Summary turnaround;
@@ -101,9 +102,9 @@ int main(int argc, char** argv) {
                util::fixed(per_hour, 2), util::fixed(turnaround.mean(), 1),
                util::fixed(width.mean(), 2), util::fixed(wait.mean(), 1)});
     }
-    std::printf("%s (%lld jobs x %.0f cpu-s held for %.0f s):\n%s\n",
-                spec.name, static_cast<long long>(*jobs_in_system), *work,
-                *duration, out.render().c_str());
+    std::printf("%s (%llu jobs x %.0f cpu-s held for %.0f s):\n%s\n",
+                spec.name, static_cast<unsigned long long>(*jobs_in_system),
+                *work, *duration, out.render().c_str());
   }
   return 0;
 }

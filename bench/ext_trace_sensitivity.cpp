@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   util::Flags flags("ext_trace_sensitivity",
                     "LL/IE advantage across trace calibrations.");
   auto seed = flags.add_uint64("seed", 42, "RNG seed");
-  auto nodes = flags.add_int("nodes", 32, "cluster size");
+  auto nodes = flags.add_uint64("nodes", 32, "cluster size");
   auto csv_path = flags.add_string("csv", "", "optional CSV output path");
   flags.parse(argc, argv);
 

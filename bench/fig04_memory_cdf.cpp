@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "common.hpp"
+#include "exp/pool_cache.hpp"
 #include "trace/coarse_analysis.hpp"
 #include "util/csv.hpp"
 #include "util/flags.hpp"
@@ -18,7 +19,7 @@ int main(int argc, char** argv) {
 
   util::Flags flags("fig04_memory_cdf", "Available-memory distribution.");
   auto seed = flags.add_uint64("seed", 42, "RNG seed");
-  auto machines = flags.add_int("machines", 32, "machines in the pool");
+  auto machines = flags.add_uint64("machines", 32, "machines in the pool");
   auto days = flags.add_double("days", 2.0, "trace days per machine");
   auto csv_path = flags.add_string("csv", "", "optional CSV output path");
   flags.parse(argc, argv);
@@ -29,9 +30,9 @@ int main(int argc, char** argv) {
                  "coincide.",
                  *seed);
 
-  const auto pool = benchx::standard_pool(
+  const auto pool = exp::TracePoolCache::shared().standard(
       static_cast<std::size_t>(*machines), *days * 24.0, *seed);
-  const auto mem = trace::memory_availability(pool);
+  const auto mem = trace::memory_availability(*pool);
 
   util::CsvWriter csv(*csv_path);
   csv.row({"free_mb", "all", "idle", "nonidle"});

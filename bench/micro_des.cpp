@@ -203,13 +203,14 @@ int main(int argc, char** argv) {
       "Calendar event queue vs binary heap: a schedule/fire/cancel hold "
       "model across pending-set sizes, and cluster-style reschedule "
       "churn.");
-  auto fires = flags.add_int("fires", 200000, "hold-model iterations per run");
-  auto reps = flags.add_int("reps", 3, "reps per measurement (best-of)");
+  auto fires =
+      flags.add_uint64("fires", 200000, "hold-model iterations per run");
+  auto reps = flags.add_uint64("reps", 3, "reps per measurement (best-of)");
   auto seed = flags.add_uint64("seed", 42, "operation-sequence seed");
-  auto small = flags.add_int("pending-small", 1000, "small pending set");
-  auto mid = flags.add_int("pending-mid", 100000, "medium pending set");
-  auto large = flags.add_int("pending-large", 1000000,
-                             "large pending set (the gated size)");
+  auto small = flags.add_uint64("pending-small", 1000, "small pending set");
+  auto mid = flags.add_uint64("pending-mid", 100000, "medium pending set");
+  auto large = flags.add_uint64("pending-large", 1000000,
+                                "large pending set (the gated size)");
   auto min_speedup = flags.add_double(
       "min-speedup", 2.0,
       "required calendar/heap events-per-second ratio at the largest "

@@ -46,9 +46,9 @@ double seconds_since(Clock::time_point start) {
 int main(int argc, char** argv) {
   ll::util::Flags flags("micro_runner",
                         "Thread-per-replication vs bounded pooled runner.");
-  auto reps = flags.add_int("reps", 64, "replications per round");
-  auto rounds = flags.add_int("rounds", 3, "rounds per strategy");
-  auto nodes = flags.add_int("nodes", 8, "cluster size per replication");
+  auto reps = flags.add_uint64("reps", 64, "replications per round");
+  auto rounds = flags.add_uint64("rounds", 3, "rounds per strategy");
+  auto nodes = flags.add_uint64("nodes", 8, "cluster size per replication");
   auto seed = flags.add_uint64("seed", 42, "RNG seed");
   flags.parse(argc, argv);
 
@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
                        "wall (s)"});
 
   // Old strategy: one std::async(launch::async) thread per replication.
-  for (std::int64_t round = 0; round < *rounds; ++round) {
+  for (std::uint64_t round = 0; round < *rounds; ++round) {
     Census census;
     const auto start = Clock::now();
     std::vector<std::future<void>> futures;
@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
   // reused across rounds, so the "created" column amortizes to ~0.
   ll::util::TaskRunner& runner = ll::util::TaskRunner::shared();
   bool bound_ok = true;
-  for (std::int64_t round = 0; round < *rounds; ++round) {
+  for (std::uint64_t round = 0; round < *rounds; ++round) {
     Census census;
     const std::uint64_t created_before =
         ll::util::TaskRunner::total_threads_created();

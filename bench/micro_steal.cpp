@@ -197,10 +197,11 @@ int main(int argc, char** argv) {
   ll::util::Flags flags(
       "micro_steal",
       "Lock-free work-stealing runner vs the mutex-deque baseline.");
-  auto workers = flags.add_int("workers", 8, "worker count for both runners");
-  auto batches = flags.add_int("batches", 200, "batches per measurement");
-  auto tasks = flags.add_int("tasks", 512, "tasks per batch");
-  auto iters = flags.add_int("iters", 8, "mix rounds per small task");
+  auto workers =
+      flags.add_uint64("workers", 8, "worker count for both runners");
+  auto batches = flags.add_uint64("batches", 200, "batches per measurement");
+  auto tasks = flags.add_uint64("tasks", 512, "tasks per batch");
+  auto iters = flags.add_uint64("iters", 8, "mix rounds per small task");
   auto min_speedup = flags.add_double(
       "min-speedup", 2.0,
       "required lock-free/mutex dispatch-rate ratio (0 disables the gate)");

@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "common.hpp"
+#include "exp/pool_cache.hpp"
 #include "trace/coarse_analysis.hpp"
 #include "util/csv.hpp"
 #include "util/flags.hpp"
@@ -17,7 +18,7 @@ int main(int argc, char** argv) {
   util::Flags flags("sec32_coarse_stats",
                     "Coarse-grain workstation availability statistics.");
   auto seed = flags.add_uint64("seed", 42, "RNG seed");
-  auto machines = flags.add_int("machines", 32, "machines in the pool");
+  auto machines = flags.add_uint64("machines", 32, "machines in the pool");
   auto days = flags.add_double("days", 2.0, "trace days per machine");
   auto csv_path = flags.add_string("csv", "", "optional CSV output path");
   flags.parse(argc, argv);
@@ -28,10 +29,9 @@ int main(int argc, char** argv) {
                  "linger cost model.",
                  *seed);
 
-  const auto pool =
-      benchx::standard_pool(static_cast<std::size_t>(*machines), *days * 24.0,
-                            *seed);
-  const auto stats = trace::analyze_coarse(pool);
+  const auto pool = exp::TracePoolCache::shared().standard(
+      static_cast<std::size_t>(*machines), *days * 24.0, *seed);
+  const auto stats = trace::analyze_coarse(*pool);
 
   util::Table out({"metric", "paper", "measured"});
   out.add_row({"non-idle fraction of time", "46%",
@@ -58,7 +58,8 @@ int main(int argc, char** argv) {
   csv.row({"mean_cpu_idle", util::fixed(stats.mean_cpu_idle, 4)});
   csv.row({"mean_cpu_nonidle", util::fixed(stats.mean_cpu_nonidle, 4)});
 
-  std::printf("\nsamples analyzed: %zu (%lld machines x %.1f days)\n",
-              stats.sample_count, static_cast<long long>(*machines), *days);
+  std::printf("\nsamples analyzed: %zu (%llu machines x %.1f days)\n",
+              stats.sample_count, static_cast<unsigned long long>(*machines),
+              *days);
   return 0;
 }

@@ -19,10 +19,10 @@ int main(int argc, char** argv) {
 
   util::Flags flags("cluster_policies",
                     "Compare LL/LF/IE/PM on a simulated shared cluster.");
-  auto nodes = flags.add_int("nodes", 64, "cluster size");
-  auto jobs = flags.add_int("jobs", 128, "foreign jobs submitted at t=0");
+  auto nodes = flags.add_uint64("nodes", 64, "cluster size");
+  auto jobs = flags.add_uint64("jobs", 128, "foreign jobs submitted at t=0");
   auto demand = flags.add_double("demand", 600.0, "CPU-seconds per job");
-  auto machines = flags.add_int("machines", 32, "distinct machine traces");
+  auto machines = flags.add_uint64("machines", 32, "distinct machine traces");
   auto hours = flags.add_double("trace-hours", 24.0, "trace length per machine");
   auto duration = flags.add_double("closed-duration", 3600.0,
                                    "seconds simulated for the throughput run");
@@ -83,13 +83,13 @@ int main(int argc, char** argv) {
                           util::percent(closed.foreground_delay, 2)});
   }
 
-  std::printf("Open family run (%lld jobs x %.0f cpu-s):\n%s\n",
-              static_cast<long long>(*jobs), *demand,
+  std::printf("Open family run (%llu jobs x %.0f cpu-s):\n%s\n",
+              static_cast<unsigned long long>(*jobs), *demand,
               open_table.render().c_str());
   std::printf("Average time per job in each state (s):\n%s\n",
               breakdown.render().c_str());
-  std::printf("Closed system (%lld jobs held for %.0f s):\n%s",
-              static_cast<long long>(*jobs), *duration,
+  std::printf("Closed system (%llu jobs held for %.0f s):\n%s",
+              static_cast<unsigned long long>(*jobs), *duration,
               closed_table.render().c_str());
   return 0;
 }

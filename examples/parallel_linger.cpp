@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   util::Flags flags("parallel_linger",
                     "Lingering vs reconfiguration for parallel jobs.");
   auto util_flag = flags.add_double("util", 0.2, "owner load on busy nodes");
-  auto cluster = flags.add_int("cluster", 32, "cluster size");
+  auto cluster = flags.add_uint64("cluster", 32, "cluster size");
   auto work = flags.add_double("work", 38.4, "job size in CPU-seconds");
   auto seed = flags.add_uint64("seed", 7, "RNG seed");
   flags.parse(argc, argv);
@@ -52,9 +52,9 @@ int main(int argc, char** argv) {
   scenario.total_work = *work;
   scenario.bsp.granularity = 0.5;
 
-  std::printf("Completion time (s) of a %.1f cpu-s job on a %lld-node "
+  std::printf("Completion time (s) of a %.1f cpu-s job on a %llu-node "
               "cluster:\n",
-              *work, static_cast<long long>(*cluster));
+              *work, static_cast<unsigned long long>(*cluster));
   util::Table cmp({"idle nodes", "LL-32", "LL-16", "LL-8", "reconfig"});
   for (std::size_t idle = scenario.cluster_nodes;; idle -= 4) {
     std::vector<std::string> row{std::to_string(idle)};

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   util::Flags flags("trace_workbench",
                     "Generate, analyze, and persist workstation traces.");
   auto out_dir = flags.add_string("out-dir", "", "write traces here (optional)");
-  auto machines = flags.add_int("machines", 8, "machines to synthesize");
+  auto machines = flags.add_uint64("machines", 8, "machines to synthesize");
   auto seed = flags.add_uint64("seed", 42, "RNG seed");
   flags.parse(argc, argv);
 
@@ -32,8 +32,8 @@ int main(int argc, char** argv) {
   const auto pool = trace::generate_machine_pool(
       gen, static_cast<std::size_t>(*machines), rng::Stream(*seed));
   const auto stats = trace::analyze_coarse(pool);
-  std::printf("Coarse level (%lld machines x 1 day, 2 s samples):\n",
-              static_cast<long long>(*machines));
+  std::printf("Coarse level (%llu machines x 1 day, 2 s samples):\n",
+              static_cast<unsigned long long>(*machines));
   std::printf("  non-idle fraction            %5.1f%%   (paper: ~46%%)\n",
               stats.nonidle_fraction * 100);
   std::printf("  non-idle time below 10%% cpu %5.1f%%   (paper: ~76%%)\n",

@@ -53,8 +53,7 @@ constexpr std::string_view kUsage =
     "(Perfetto)\n"
     "  faults    compile a fault plan, print its timeline, run one faulty "
     "scenario\n"
-    "  bench     run a registered experiment sweep (try: bench --list), or\n"
-    "            the perf-trajectory probes (bench --report)\n"
+    "  bench     run a registered experiment sweep (try: bench --list)\n"
     "  serve     long-running sweep service: NDJSON requests over TCP,\n"
     "            batched onto the shared runner, results cached by config "
     "digest\n";

@@ -228,6 +228,7 @@ class ClusterSim {
   /// Read-only view of one node's occupancy, for the verification layer's
   /// occupancy-legality invariant (src/verify/invariants.hpp). Taken at a
   /// quiescent point (between run_* calls) the legality rules hold exactly.
+  /// ShardedClusterSim::node_snapshots returns the same type.
   struct NodeSnapshot {
     bool idle = true;              ///< recruitment-rule idle flag, this window
     bool down = false;             ///< crashed and not yet recovered

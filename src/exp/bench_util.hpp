@@ -20,20 +20,20 @@ namespace ll::exp {
 
 struct StandardFlags {
   util::Flags::Handle<std::uint64_t> seed;
-  util::Flags::Handle<std::int64_t> reps;
-  util::Flags::Handle<std::int64_t> jobs;
+  util::Flags::Handle<std::uint64_t> reps;
+  util::Flags::Handle<std::uint64_t> jobs;
   util::Flags::Handle<std::string> csv;
   util::Flags::Handle<bool> json;
 };
 
 inline StandardFlags add_standard_flags(util::Flags& flags,
-                                        std::int64_t default_reps) {
+                                        std::uint64_t default_reps) {
   return StandardFlags{
       flags.add_uint64("seed", 42, "master RNG seed"),
-      flags.add_int("reps", default_reps,
-                    "replications per cell (means with 95% CIs)"),
-      flags.add_int("jobs", 0,
-                    "worker threads for the sweep (0 = hardware concurrency)"),
+      flags.add_uint64("reps", default_reps,
+                       "replications per cell (means with 95% CIs)"),
+      flags.add_uint64(
+          "jobs", 0, "worker threads for the sweep (0 = hardware concurrency)"),
       flags.add_string("csv", "", "optional CSV output path"),
       flags.add_bool("json", false,
                      "emit the sweep as JSON instead of a table"),

@@ -21,8 +21,8 @@ int run_abl_pause_time(const std::vector<std::string>& args,
                        std::ostream& out) {
   util::Flags flags("llsim bench abl_pause_time",
                     "Pause-and-Migrate grace-period sweep.");
-  auto nodes = flags.add_int("nodes", 32, "cluster size");
-  auto machines = flags.add_int("machines", 32, "distinct machine traces");
+  auto nodes = flags.add_uint64("nodes", 32, "cluster size");
+  auto machines = flags.add_uint64("machines", 32, "distinct machine traces");
   const StandardFlags std_flags = add_standard_flags(flags, 1);
   parse_args(flags, "llsim bench abl_pause_time", args);
 
@@ -68,8 +68,8 @@ int run_abl_pause_time(const std::vector<std::string>& args,
 int run_abl_predictor(const std::vector<std::string>& args, std::ostream& out) {
   util::Flags flags("llsim bench abl_predictor",
                     "Linger-duration scale sweep around the 2T rule.");
-  auto nodes = flags.add_int("nodes", 32, "cluster size");
-  auto machines = flags.add_int("machines", 32, "distinct machine traces");
+  auto nodes = flags.add_uint64("nodes", 32, "cluster size");
+  auto machines = flags.add_uint64("machines", 32, "distinct machine traces");
   const StandardFlags std_flags = add_standard_flags(flags, 1);
   parse_args(flags, "llsim bench abl_predictor", args);
 
@@ -127,8 +127,8 @@ int run_abl_ctx_switch(const std::vector<std::string>& args,
                        std::ostream& out) {
   util::Flags flags("llsim bench abl_ctx_switch",
                     "Effective context-switch cost sweep.");
-  auto nodes = flags.add_int("nodes", 32, "cluster size");
-  auto machines = flags.add_int("machines", 32, "distinct machine traces");
+  auto nodes = flags.add_uint64("nodes", 32, "cluster size");
+  auto machines = flags.add_uint64("machines", 32, "distinct machine traces");
   auto util_flag = flags.add_double("util", 0.3, "single-node test load");
   const StandardFlags std_flags = add_standard_flags(flags, 1);
   parse_args(flags, "llsim bench abl_ctx_switch", args);
@@ -183,8 +183,8 @@ int run_abl_migration_cost(const std::vector<std::string>& args,
                            std::ostream& out) {
   util::Flags flags("llsim bench abl_migration_cost",
                     "Migration bandwidth and image-size sweep.");
-  auto nodes = flags.add_int("nodes", 32, "cluster size");
-  auto machines = flags.add_int("machines", 32, "distinct machine traces");
+  auto nodes = flags.add_uint64("nodes", 32, "cluster size");
+  auto machines = flags.add_uint64("machines", 32, "distinct machine traces");
   const StandardFlags std_flags = add_standard_flags(flags, 1);
   parse_args(flags, "llsim bench abl_migration_cost", args);
 

@@ -31,8 +31,8 @@ constexpr const char* kWorkload2 = "workload-2 (16 x 1800 s)";
 int run_fig07(const std::vector<std::string>& args, std::ostream& out) {
   util::Flags flags("llsim bench fig07",
                     "Cluster performance of LL/LF/IE/PM (paper Figure 7).");
-  auto nodes = flags.add_int("nodes", 64, "cluster size");
-  auto machines = flags.add_int("machines", 64, "distinct machine traces");
+  auto nodes = flags.add_uint64("nodes", 64, "cluster size");
+  auto machines = flags.add_uint64("machines", 64, "distinct machine traces");
   const StandardFlags std_flags = add_standard_flags(flags, 5);
   parse_args(flags, "llsim bench fig07", args);
 
@@ -76,8 +76,8 @@ int run_fig07(const std::vector<std::string>& args, std::ostream& out) {
 int run_fig08(const std::vector<std::string>& args, std::ostream& out) {
   util::Flags flags("llsim bench fig08",
                     "Average per-job time in each state, per policy.");
-  auto nodes = flags.add_int("nodes", 64, "cluster size");
-  auto machines = flags.add_int("machines", 64, "distinct machine traces");
+  auto nodes = flags.add_uint64("nodes", 64, "cluster size");
+  auto machines = flags.add_uint64("machines", 64, "distinct machine traces");
   const StandardFlags std_flags = add_standard_flags(flags, 1);
   parse_args(flags, "llsim bench fig08", args);
 

@@ -23,8 +23,8 @@ int run_ext_fault_robustness(const std::vector<std::string>& args,
   util::Flags flags("llsim bench ext_fault_robustness",
                     "Policy robustness under node crashes, link drops, and "
                     "checkpointing.");
-  auto nodes = flags.add_int("nodes", 16, "cluster size");
-  auto machines = flags.add_int("machines", 16, "distinct machine traces");
+  auto nodes = flags.add_uint64("nodes", 16, "cluster size");
+  auto machines = flags.add_uint64("machines", 16, "distinct machine traces");
   auto drop = flags.add_double("drop", 0.05,
                                "migration-link drop probability (faulty rows)");
   const StandardFlags std_flags = add_standard_flags(flags, 1);

@@ -17,7 +17,7 @@ namespace {
 int run_fig09(const std::vector<std::string>& args, std::ostream& out) {
   util::Flags flags("llsim bench fig09",
                     "BSP job slowdown vs one node's owner utilization.");
-  auto phases = flags.add_int("phases", 200, "BSP iterations per point");
+  auto phases = flags.add_uint64("phases", 200, "BSP iterations per point");
   const StandardFlags std_flags = add_standard_flags(flags, 1);
   parse_args(flags, "llsim bench fig09", args);
 

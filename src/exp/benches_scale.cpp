@@ -28,10 +28,10 @@ int run_ext_scale(const std::vector<std::string>& args, std::ostream& out) {
   util::Flags flags("llsim bench ext_scale",
                     "100k-node cluster end to end: binary heap vs calendar "
                     "event queue at scale.");
-  auto nodes = flags.add_int("nodes", 100000, "cluster size");
-  auto machines = flags.add_int(
+  auto nodes = flags.add_uint64("nodes", 100000, "cluster size");
+  auto machines = flags.add_uint64(
       "machines", 256, "distinct machine traces (nodes share the pool)");
-  auto jobs_per_knode = flags.add_int(
+  auto jobs_per_knode = flags.add_uint64(
       "jobs-per-knode", 250, "foreign jobs submitted per 1000 nodes");
   auto demand = flags.add_double("demand", 600.0, "CPU-seconds per job");
   auto closed_duration = flags.add_double(
@@ -123,10 +123,10 @@ int run_ext_scale_sharded(const std::vector<std::string>& args,
   util::Flags flags("llsim bench ext_scale_sharded",
                     "100k-node cluster on the sharded engine: shard-count "
                     "invariance + parallel speedup.");
-  auto nodes = flags.add_int("nodes", 100000, "cluster size");
-  auto machines = flags.add_int(
+  auto nodes = flags.add_uint64("nodes", 100000, "cluster size");
+  auto machines = flags.add_uint64(
       "machines", 256, "distinct machine traces (nodes share the pool)");
-  auto jobs_per_knode = flags.add_int(
+  auto jobs_per_knode = flags.add_uint64(
       "jobs-per-knode", 250, "foreign jobs submitted per 1000 nodes");
   auto demand = flags.add_double("demand", 600.0, "CPU-seconds per job");
   auto closed_duration = flags.add_double(

@@ -41,9 +41,10 @@ class TracePoolCache {
   using Pool = std::vector<trace::CoarseTrace>;
   using PoolPtr = std::shared_ptr<const Pool>;
 
-  /// The standard synthetic pool (bench/common.hpp's convention, now the
-  /// single definition): `hours` per machine; pools shorter than a day
-  /// start at 09:00 so they cover working hours, full days at midnight.
+  /// The standard synthetic pool, defined only here (the CLI, the
+  /// registered benches and the standalone bench/ binaries all use it):
+  /// `hours` per machine; pools shorter than a day start at 09:00 so they
+  /// cover working hours, full days at midnight.
   PoolPtr standard(std::size_t machines, double hours, std::uint64_t seed);
 
   /// Returns the cached pool for the key, building it via `build` exactly

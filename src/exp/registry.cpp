@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "exp/benches.hpp"
-#include "exp/perf_report.hpp"
 #include "exp/pool_cache.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
@@ -62,14 +61,6 @@ int run_bench_cli(const std::vector<std::string>& raw_args, std::ostream& out,
     }
   }
 
-  // `llsim bench --report` is not a registered bench but the
-  // perf-trajectory harness (exp/perf_report.hpp) — dispatch before the
-  // registry lookup, like --list.
-  if (!args.empty() && args[0] == "--report") {
-    return run_perf_report_cli(
-        std::vector<std::string>(args.begin() + 1, args.end()), out, err);
-  }
-
   const BenchRegistry& registry = BenchRegistry::instance();
   if (args.empty() || args[0] == "--list" || args[0] == "list") {
     out << "Registered benches (run with: llsim bench <name> [flags], "
@@ -79,8 +70,6 @@ int run_bench_cli(const std::vector<std::string>& raw_args, std::ostream& out,
       for (std::size_t i = b->name.size(); i < 20; ++i) out << ' ';
       out << b->summary << "\n";
     }
-    out << "  --report            perf-trajectory probes -> BENCH_cpp.json "
-           "(--check=FILE diffs a baseline)\n";
     return 0;
   }
   const Bench* bench = registry.find(args[0]);

@@ -816,14 +816,17 @@ const des::Simulation& ShardedClusterSim::engine(std::size_t k) const {
   return shards_.at(k)->sim;
 }
 
-ShardedClusterSim::NodeView ShardedClusterSim::node_view(std::size_t i) const {
-  NodeView view;
-  view.idle = node_idle_.at(i) != 0;
-  view.down = is_down(i, now_);
-  view.utilization = node_util_[i];
-  view.reserved = node_reserved_[i];
-  view.occupant = node_occupant_[i];
-  return view;
+std::vector<cluster::ClusterSim::NodeSnapshot>
+ShardedClusterSim::node_snapshots() const {
+  std::vector<cluster::ClusterSim::NodeSnapshot> out(cfg_.node_count);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i].idle = node_idle_[i] != 0;
+    out[i].down = is_down(i, now_);
+    out[i].utilization = node_util_[i];
+    out[i].reserved = node_reserved_[i];
+    if (node_occupant_[i] != kNoJob) out[i].occupants = {node_occupant_[i]};
+  }
+  return out;
 }
 
 void ShardedClusterSim::set_metrics(obs::MetricRegistry* registry) {

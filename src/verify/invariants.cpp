@@ -2,7 +2,10 @@
 
 #include <cmath>
 #include <sstream>
+#include <type_traits>
 #include <unordered_map>
+
+#include "shard/sharded_sim.hpp"
 
 namespace ll::verify {
 
@@ -201,8 +204,8 @@ void check_job_record(const cluster::JobRecord& job,
 
 // ---- cluster occupancy ----------------------------------------------------
 
-void check_cluster_occupancy(const cluster::ClusterSim& sim,
-                             InvariantRegistry& registry) {
+template <class Sim>
+void check_cluster_occupancy(const Sim& sim, InvariantRegistry& registry) {
   using S = cluster::JobState;
   const auto snapshots = sim.node_snapshots();
   const auto& jobs = sim.jobs();
@@ -265,18 +268,22 @@ void check_cluster_occupancy(const cluster::ClusterSim& sim,
     }
   }
 
-  registry.check_lazy(reserved_total == sim.inflight_migrations(),
-                      "cluster.reservations-match-inflight", [&] {
-                        return "reserved slots sum to " +
-                               std::to_string(reserved_total) + " but " +
-                               std::to_string(sim.inflight_migrations()) +
-                               " migrations are in flight";
-                      });
+  if constexpr (std::is_same_v<Sim, cluster::ClusterSim>) {
+    registry.check_lazy(reserved_total == sim.inflight_migrations(),
+                        "cluster.reservations-match-inflight", [&] {
+                          return "reserved slots sum to " +
+                                 std::to_string(reserved_total) + " but " +
+                                 std::to_string(sim.inflight_migrations()) +
+                                 " migrations are in flight";
+                        });
+  }
 
+  std::size_t migrating = 0;
   for (const auto& job : jobs) {
     const auto it = residence.find(job.id);
     const std::size_t count = it == residence.end() ? 0 : it->second;
     const S s = job.state;
+    if (s == S::Migrating) ++migrating;
     const bool resident = s == S::Running || s == S::Lingering ||
                           s == S::Paused || s == S::Checkpointing;
     registry.check_lazy(count == (resident ? 1u : 0u),
@@ -286,7 +293,19 @@ void check_cluster_occupancy(const cluster::ClusterSim& sim,
                                  std::to_string(count) + " nodes";
                         });
   }
+  registry.check_lazy(reserved_total == migrating,
+                      "cluster.reservations-match-migrating", [&] {
+                        return "reserved slots sum to " +
+                               std::to_string(reserved_total) + " but " +
+                               std::to_string(migrating) +
+                               " jobs are Migrating";
+                      });
 }
+
+template void check_cluster_occupancy(const cluster::ClusterSim&,
+                                      InvariantRegistry&);
+template void check_cluster_occupancy(const shard::ShardedClusterSim&,
+                                      InvariantRegistry&);
 
 // ---- BSP barrier consistency ----------------------------------------------
 

@@ -17,8 +17,9 @@
 ///    hooks;
 ///  * legal_job_transition / check_job_record — the JobState machine of
 ///    cluster/job.hpp, plus stopwatch/lifetime accounting;
-///  * check_cluster_occupancy — node occupancy legality (slot caps, guest
-///    states consistent with the owner's idle flag, no job on two nodes);
+///  * check_cluster_occupancy — node occupancy legality on either cluster
+///    engine (slot caps, guest states consistent with the owner's idle flag,
+///    no job on two nodes, reservations matching migrations);
 ///  * check_bsp_result — barrier consistency of a BSP run (a barrier phase
 ///    can never beat its all-idle ideal).
 
@@ -152,17 +153,21 @@ class SimInvariantObserver final : public des::SimObserver {
 void check_job_record(const cluster::JobRecord& job,
                       InvariantRegistry& registry);
 
-/// Occupancy legality across a cluster at a quiescent point:
+/// Occupancy legality across a cluster at a quiescent point, read from the
+/// engine's node_snapshots(); `Sim` is cluster::ClusterSim or
+/// shard::ShardedClusterSim (both instantiated in invariants.cpp):
 ///  * occupants + reserved slots never exceed max_foreign_per_node;
 ///  * every occupant is Running, Lingering, Paused, or Checkpointing;
 ///  * Running guests only on idle (owner-away) nodes, Lingering/Paused
 ///    guests only on non-idle nodes (Checkpointing writes proceed under
 ///    either owner state);
 ///  * down (crashed) nodes host no occupants;
-///  * no job occupies two nodes; Queued/Migrating/Done jobs occupy none;
-///  * the reserved slots across all nodes sum to the in-flight migrations.
-void check_cluster_occupancy(const cluster::ClusterSim& sim,
-                             InvariantRegistry& registry);
+///  * every Running/Lingering/Paused/Checkpointing job occupies exactly one
+///    node; Queued/Migrating/Done jobs occupy none;
+///  * the reserved slots across all nodes sum to the jobs in Migrating, and
+///    on ClusterSim also to its in-flight migration count.
+template <class Sim>
+void check_cluster_occupancy(const Sim& sim, InvariantRegistry& registry);
 
 /// Barrier consistency of a BSP result: times are finite and positive, the
 /// phase count is consistent with the configuration, and the contended run

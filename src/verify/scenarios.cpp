@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "cluster/cluster_sim.hpp"
@@ -81,55 +82,21 @@ void fold_cluster(Digest& d, const Sim& sim) {
   }
 }
 
-void check_cluster(const cluster::ClusterSim& sim, InvariantRegistry& reg) {
+/// Occupancy legality and the per-job record checks on either engine. The
+/// monolithic engine's event conservation is its SimInvariantObserver's
+/// job; each shard's private engine is checked here.
+template <class Sim>
+void check_cluster(const Sim& sim, InvariantRegistry& reg) {
   check_cluster_occupancy(sim, reg);
-  for (const cluster::JobRecord& job : sim.jobs()) {
-    check_job_record(job, reg);
-  }
-}
-
-/// Occupancy legality over the sharded SoA at a quiescent point, mirroring
-/// check_cluster_occupancy, plus per-shard engine conservation and the
-/// per-job record checks.
-void check_sharded(const shard::ShardedClusterSim& sim,
-                   InvariantRegistry& reg) {
-  constexpr auto kNoJob = shard::ShardedClusterSim::kNoJob;
-  std::vector<unsigned char> seen(sim.jobs().size(), 0);
-  std::size_t reserved_total = 0;
-  for (std::size_t i = 0; i < sim.node_count(); ++i) {
-    const auto v = sim.node_view(i);
-    reserved_total += v.reserved;
-    reg.check(v.reserved + (v.occupant != kNoJob ? 1u : 0u) <= 1,
-              "shard.slot-cap", "occupant + reserved exceeds the slot cap");
-    if (v.occupant == kNoJob) continue;
-    reg.check(!v.down, "shard.down-hosts-none",
-              "a crashed node still hosts a job");
-    reg.check(!seen[v.occupant], "shard.job-on-one-node",
-              "a job occupies two nodes");
-    seen[v.occupant] = 1;
-    const cluster::JobState st = sim.jobs()[v.occupant].state;
-    reg.check(st == cluster::JobState::Running ||
-                  st == cluster::JobState::Lingering ||
-                  st == cluster::JobState::Paused ||
-                  st == cluster::JobState::Checkpointing,
-              "shard.occupant-state", "occupant in a non-resident state");
-    if (st == cluster::JobState::Running) {
-      reg.check(v.idle, "shard.running-on-idle",
-                "Running guest on a non-idle node");
+  if constexpr (std::is_same_v<Sim, shard::ShardedClusterSim>) {
+    for (std::size_t k = 0; k < sim.shard_count(); ++k) {
+      const des::Simulation& engine = sim.engine(k);
+      reg.check(engine.events_scheduled() ==
+                    engine.events_fired() + engine.events_cancelled() +
+                        engine.pending_count(),
+                "shard.engine-conservation",
+                "scheduled != fired + cancelled + pending");
     }
-    if (st == cluster::JobState::Lingering ||
-        st == cluster::JobState::Paused) {
-      reg.check(!v.idle, "shard.lingering-on-nonidle",
-                "Lingering/Paused guest on an idle node");
-    }
-  }
-  for (std::size_t k = 0; k < sim.shard_count(); ++k) {
-    const des::Simulation& engine = sim.engine(k);
-    reg.check(engine.events_scheduled() ==
-                  engine.events_fired() + engine.events_cancelled() +
-                      engine.pending_count(),
-              "shard.engine-conservation",
-              "scheduled != fired + cancelled + pending");
   }
   for (const cluster::JobRecord& job : sim.jobs()) {
     check_job_record(job, reg);
@@ -307,7 +274,7 @@ ScenarioResult cluster_run(
                                  workload::default_burst_table(),
                                  stream.fork("sim"));
     run_jobs(sim);
-    check_sharded(sim, h.registry);
+    check_cluster(sim, h.registry);
     fold_cluster(h.digest, sim);
     return h.finish(sim.logical_events());
   }

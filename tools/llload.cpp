@@ -255,21 +255,21 @@ int main(int argc, char** argv) {
                         "requests, latency percentiles, cache hit rate.");
   auto host = flags.add_string("host", "127.0.0.1", "server address");
   auto port = flags.add_int("port", 0, "server port (required)");
-  auto connections = flags.add_int("connections", 8, "parallel connections");
-  auto requests = flags.add_int("requests", 1000, "total run requests");
-  auto pipeline = flags.add_int("pipeline", 64,
-                                "max in-flight requests per connection");
-  auto unique = flags.add_int("unique", 16,
-                              "distinct seeds in the mix (smaller = more "
-                              "cache hits)");
+  auto connections = flags.add_uint64("connections", 8, "parallel connections");
+  auto requests = flags.add_uint64("requests", 1000, "total run requests");
+  auto pipeline = flags.add_uint64("pipeline", 64,
+                                   "max in-flight requests per connection");
+  auto unique = flags.add_uint64("unique", 16,
+                                 "distinct seeds in the mix (smaller = more "
+                                 "cache hits)");
   auto seed = flags.add_uint64("seed", 42, "base scenario seed");
   auto policy = flags.add_string("policy", "LL", "scenario policy");
-  auto nodes = flags.add_int("nodes", 8, "scenario cluster size");
-  auto jobs = flags.add_int("jobs", 16, "scenario foreign jobs");
+  auto nodes = flags.add_uint64("nodes", 8, "scenario cluster size");
+  auto jobs = flags.add_uint64("jobs", 16, "scenario foreign jobs");
   auto demand = flags.add_double("demand", 60.0, "CPU-seconds per job");
-  auto machines = flags.add_int("machines", 4, "scenario trace machines");
+  auto machines = flags.add_uint64("machines", 4, "scenario trace machines");
   auto days = flags.add_double("days", 0.05, "scenario trace days");
-  auto reps = flags.add_int("reps", 1, "scenario replications");
+  auto reps = flags.add_uint64("reps", 1, "scenario replications");
   auto min_hit_rate = flags.add_double(
       "min-hit-rate", -1.0,
       "exit 1 when the observed hit rate is below this (CI gate)");

@@ -147,7 +147,7 @@ int main(int argc, const char** argv) {
   ll::util::Flags flags("lltrace",
                         "Validate and summarize a Chrome trace-event JSON "
                         "file written by `llsim trace`.");
-  auto top = flags.add_int("top", 12, "rows in the hot-tag table");
+  auto top = flags.add_uint64("top", 12, "rows in the hot-tag table");
   auto shard_tracks = flags.add_string(
       "shard-tracks", "",
       "rewrite the trace to this path with one Chrome track per shard "

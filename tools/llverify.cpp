@@ -215,7 +215,7 @@ int main(int argc, char** argv) {
       "write-golden", "",
       "regenerate golden digests into this directory (intentional "
       "behavior changes only)");
-  auto jobs = flags.add_int(
+  auto jobs = flags.add_uint64(
       "jobs", 1,
       "run scenario checks on the work-stealing runner with this many "
       "workers (0 = hardware concurrency); output is identical to --jobs 1");
