@@ -113,6 +113,16 @@ des::QueueBackend parse_queue_flag(std::string_view subcommand,
   return *backend;
 }
 
+/// Rejects a negative value for a "0 = off" duration flag, which would
+/// otherwise run silently as off.
+void require_nonnegative(std::string_view subcommand, std::string_view flag,
+                         double value) {
+  if (!(value >= 0.0)) {
+    throw std::invalid_argument(std::string(subcommand) + ": --" +
+                                std::string(flag) + " must be >= 0");
+  }
+}
+
 // ---- observability helpers ------------------------------------------------
 
 /// Names the cluster engines' event tags on a profiler or tracing observer.
@@ -317,6 +327,7 @@ int cmd_cluster(const std::vector<std::string>& args, std::ostream& out) {
       "shards (0 = monolithic engine); results are shard-count invariant");
   auto argv = to_argv(args);
   flags.parse(static_cast<int>(argv.size()), argv.data());
+  require_nonnegative("cluster", "closed", *closed);
 
   exp::ClusterScenario sc;
   sc.policy = core::parse_policy_name(*policy_name);
@@ -612,6 +623,7 @@ int cmd_profile(const std::vector<std::string>& args, std::ostream& out) {
   auto queue_name = flags.add_string("queue", "heap", kQueueFlagHelp);
   auto argv = to_argv(args);
   flags.parse(static_cast<int>(argv.size()), argv.data());
+  require_nonnegative("profile", "closed", *closed);
 
   exp::ClusterScenario sc;
   sc.policy = core::parse_policy_name(*policy_name);
@@ -926,6 +938,10 @@ int cmd_faults(const std::vector<std::string>& args, std::ostream& out) {
   auto queue_name = flags.add_string("queue", "heap", kQueueFlagHelp);
   auto argv = to_argv(args);
   flags.parse(static_cast<int>(argv.size()), argv.data());
+  require_nonnegative("faults", "mtbf", *mtbf);
+  require_nonnegative("faults", "storm-every", *storm_every);
+  require_nonnegative("faults", "pressure-every", *pressure_every);
+  require_nonnegative("faults", "closed", *closed);
 
   const core::PolicyKind policy = core::parse_policy_name(*policy_name);
   const auto pool = pool_from_flags(*traces_dir, *machines, *days, *seed + 1);

@@ -116,6 +116,14 @@ struct PoolDerived {
 [[nodiscard]] PoolDerived derive_pool(std::span<const trace::CoarseTrace> pool,
                                       const ClusterConfig& config);
 
+/// The OracleLinger baseline's PolicyContext::episode_remaining: seconds of
+/// consecutive non-idle samples from sample `window` on (0 when it is idle),
+/// replaying `flags` with wrap-around at `period` seconds per sample; +inf
+/// when no sample is idle. Sums `period` once per sample, so the value does
+/// not depend on the direction of the scan. Requires window < flags.size().
+[[nodiscard]] double episode_remaining(const std::vector<bool>& flags,
+                                       std::size_t window, double period);
+
 class ClusterSim {
  public:
   /// The trace pool must be non-empty and share one sample period; nodes

@@ -527,17 +527,29 @@ TEST_F(CliTest, NegativeCountsAndDurationsAreRejected) {
       {"bench", "ext_scale", "--jobs-per-knode=-1"},
       {"cluster", "--days=-1"},
       {"traces", "--out=" + path("t"), "--days=-1"},
+      // "0 = off" durations: these used to run as off and exit 0.
+      {"cluster", "--closed=-1"},
+      {"profile", "--closed=-5"},
+      {"faults", "--closed=-5"},
+      {"faults", "--mtbf=-1"},
+      {"faults", "--storm-every=-1"},
+      {"faults", "--pressure-every=-10"},
   };
   for (const auto& args : cases) {
     const CliResult r = run(args);
     const std::string& flag = args.back();
     EXPECT_EQ(r.code, 1) << args[0] << " " << flag;
     EXPECT_EQ(r.err.rfind("llsim: ", 0), 0u) << args[0] << " " << flag;
-    // Counts are refused by the flag parser, durations by the generator.
-    if (flag.rfind("--days", 0) != 0) {
-      EXPECT_NE(r.err.find("expected unsigned integer"), std::string::npos)
-          << args[0] << " " << flag << ": " << r.err;
-    }
+    // Counts are refused by the flag parser, --days by the generator, and
+    // "0 = off" durations by the subcommand, naming the flag.
+    const std::string name = flag.substr(0, flag.find('='));
+    if (name == "--days") continue;
+    const bool count = name != "--closed" && name != "--mtbf" &&
+                       name != "--storm-every" && name != "--pressure-every";
+    const std::string expected =
+        count ? "expected unsigned integer" : name + " must be >= 0";
+    EXPECT_NE(r.err.find(expected), std::string::npos)
+        << args[0] << " " << flag << ": " << r.err;
   }
 }
 
