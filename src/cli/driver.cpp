@@ -7,6 +7,7 @@
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -1077,6 +1078,23 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out) {
                                   "hardware-sized pool)");
   auto argv = to_argv(args);
   flags.parse(static_cast<int>(argv.size()), argv.data());
+  // Values the server would narrow or could never honour: an out-of-range
+  // port wraps to another one, a zero batch bound never dispatches (and so
+  // never drains on shutdown), a zero queue rejects every request.
+  if (*port < 0 || *port > 65535) {
+    throw std::invalid_argument("serve: --port must be in [0, 65535]");
+  }
+  constexpr int kMaxRetryMs = std::numeric_limits<int>::max();
+  if (*retry_ms < 0 || *retry_ms > kMaxRetryMs) {
+    throw std::invalid_argument("serve: --retry-after-ms must be in [0, " +
+                                std::to_string(kMaxRetryMs) + "]");
+  }
+  if (*batch_max == 0) {
+    throw std::invalid_argument("serve: --batch-max must be >= 1");
+  }
+  if (*queue_depth == 0) {
+    throw std::invalid_argument("serve: --queue-depth must be >= 1");
+  }
 
   std::unique_ptr<util::TaskRunner> own_runner;
   if (*workers > 0) {

@@ -1,15 +1,17 @@
 #pragma once
 
 /// \file bench_util.hpp
-/// Internal helpers shared by the registered benches: the standard flag set
-/// (--seed/--reps/--jobs/--csv/--json) and the common emit path (banner +
-/// table, or JSON to stdout, or CSV to a file). This is the once-per-bench
-/// boilerplate the old standalone binaries each duplicated.
+/// Internal helpers shared by the registered benches: the banner, the
+/// standard flag set of the engine sweeps (--seed/--reps/--jobs/--csv/--json)
+/// and their common emit path (banner + table, or JSON to stdout, or CSV to
+/// a file).
 
+#include <cstdint>
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exp/engine.hpp"
@@ -17,6 +19,15 @@
 #include "util/flags.hpp"
 
 namespace ll::exp {
+
+/// Prints the standard bench banner: figure id, claim, and the seed, with
+/// the reminder that shapes, not absolute values, are the comparison target.
+inline void print_banner(std::ostream& out, std::string_view figure,
+                         std::string_view claim, std::uint64_t seed) {
+  out << "=== " << figure << " ===\n"
+      << claim << "\nseed=" << seed
+      << " (shapes, not absolute values, are the comparison target)\n\n";
+}
 
 struct StandardFlags {
   util::Flags::Handle<std::uint64_t> seed;
@@ -76,10 +87,8 @@ inline void emit_sweep(const SweepResult& sweep, const StandardFlags& std_flags,
     write_json(sweep, out);
     return;
   }
-  out << "=== " << sweep.name << " ===\n"
-      << claim << "\nseed=" << sweep.seed
-      << " (shapes, not absolute values, are the comparison target)\n\n"
-      << render_table(sweep);
+  print_banner(out, sweep.name, claim, sweep.seed);
+  out << render_table(sweep);
 }
 
 }  // namespace ll::exp

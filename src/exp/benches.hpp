@@ -10,6 +10,7 @@ namespace ll::exp {
 
 class BenchRegistry;
 
+void register_workload_benches(BenchRegistry& registry);
 void register_cluster_benches(BenchRegistry& registry);
 void register_parallel_benches(BenchRegistry& registry);
 void register_ablation_benches(BenchRegistry& registry);

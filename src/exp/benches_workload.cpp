@@ -1,0 +1,339 @@
+/// \file benches_workload.cpp
+/// Registered workload-characterization benches: fig02 and fig03 (the
+/// fine-grain burst model), sec32 and fig04 (coarse availability and free
+/// memory of the trace pool), and fig05 (single-node delay and stealing
+/// ratio). Each runs once per point and prints its own tables.
+
+#include <algorithm>
+#include <vector>
+
+#include "exp/bench_util.hpp"
+#include "exp/benches.hpp"
+#include "exp/pool_cache.hpp"
+#include "exp/registry.hpp"
+#include "node/fine_node_sim.hpp"
+#include "stats/cdf.hpp"
+#include "stats/summary.hpp"
+#include "trace/coarse_analysis.hpp"
+#include "util/ascii_chart.hpp"
+#include "util/csv.hpp"
+#include "util/table.hpp"
+#include "workload/fine_generator.hpp"
+#include "workload/fit.hpp"
+
+namespace ll::exp {
+namespace {
+
+/// Paper Figure 2: CDFs of run and idle burst durations at 10% and 50%
+/// utilization — empirical (from synthesized dispatch traces, bucketed by
+/// the §3.1 pipeline) against the 2-stage hyperexponential fitted by the
+/// method of moments. The paper reports "the curves almost exactly match";
+/// the KS distances quantify that here.
+int run_fig02(const std::vector<std::string>& args, std::ostream& out) {
+  util::Flags flags("llsim bench fig02", "Run/idle burst CDFs vs fitted H2.");
+  auto seed = flags.add_uint64("seed", 42, "RNG seed");
+  auto trace_seconds =
+      flags.add_double("trace-seconds", 20000.0, "dispatch trace length");
+  auto csv_path = flags.add_string("csv", "", "optional CSV output path");
+  parse_args(flags, "llsim bench fig02", args);
+
+  print_banner(out, "Figure 2: run/idle burst CDFs, empirical vs fitted H2",
+               "Paper: fitted hyperexponential CDFs almost exactly match "
+               "the measured burst distributions at 10% and 50% load.",
+               *seed);
+  util::CsvWriter csv(*csv_path);
+  csv.row({"utilization", "kind", "x_seconds", "empirical_cdf", "fitted_cdf"});
+
+  const auto& table = workload::default_burst_table();
+  for (double u : {0.10, 0.50}) {
+    const auto fine = workload::generate_fine_trace(table, u, *trace_seconds,
+                                                    rng::Stream(*seed));
+    const auto analysis = workload::analyze_fine_trace(fine);
+
+    // Pool samples from the level nearest the target plus its neighbours,
+    // as the paper's per-level histograms effectively do.
+    auto pooled = [&](bool run_kind) {
+      std::vector<double> samples;
+      const auto target = static_cast<long>(
+          u * static_cast<double>(workload::kUtilizationLevels - 1) + 0.5);
+      for (long lvl = target - 1; lvl <= target + 1; ++lvl) {
+        if (lvl < 0 || lvl >= static_cast<long>(workload::kUtilizationLevels)) {
+          continue;
+        }
+        const auto& level = analysis.levels[static_cast<std::size_t>(lvl)];
+        const auto& src = run_kind ? level.run : level.idle;
+        samples.insert(samples.end(), src.begin(), src.end());
+      }
+      return samples;
+    };
+
+    for (bool run_kind : {true, false}) {
+      const char* kind = run_kind ? "run" : "idle";
+      const std::vector<double> samples = pooled(run_kind);
+      if (samples.size() < 100) {
+        out << util::format("u=%.0f%% %s: too few samples (%zu)\n", u * 100,
+                            kind, samples.size());
+        continue;
+      }
+      stats::Summary m;
+      for (double x : samples) m.add(x);
+      const rng::HyperExp2 fitted = rng::fit_hyperexp2(
+          m.mean(), std::max(m.variance(), 1e-12));
+      const stats::EmpiricalCdf ecdf(samples);
+
+      util::Table cdf({"x (ms)", "empirical", "fitted H2"});
+      for (double x = 0.0; x <= 0.1 + 1e-9; x += 0.01) {
+        cdf.add_row({util::fixed(x * 1e3, 0), util::fixed(ecdf(x), 3),
+                     util::fixed(fitted.cdf(x), 3)});
+        csv.row({util::fixed(u, 2), kind, util::fixed(x, 3),
+                 util::fixed(ecdf(x), 5), util::fixed(fitted.cdf(x), 5)});
+      }
+      const double ks =
+          ecdf.ks_distance([&fitted](double x) { return fitted.cdf(x); });
+      out << util::format("%s bursts @ %.0f%% utilization (n=%zu, mean %.1f "
+                          "ms, cv^2 %.2f, KS distance %.3f):\n",
+                          kind, u * 100, samples.size(), m.mean() * 1e3,
+                          m.variance() / (m.mean() * m.mean()), ks)
+          << cdf.render() << "\n";
+    }
+  }
+  return 0;
+}
+
+/// Paper Figure 3: mean and variance of run/idle burst durations as a
+/// function of processor utilization (21 levels). Prints both the library's
+/// model table (our stand-in for the paper's AIX-trace fits, see DESIGN.md)
+/// and the values re-measured by running the full §3.1 analysis pipeline on
+/// synthesized dispatch traces.
+int run_fig03(const std::vector<std::string>& args, std::ostream& out) {
+  util::Flags flags("llsim bench fig03",
+                    "Burst moments vs utilization (21 levels).");
+  auto seed = flags.add_uint64("seed", 42, "RNG seed");
+  auto per_level =
+      flags.add_double("trace-seconds", 3000.0, "trace length per level");
+  auto csv_path = flags.add_string("csv", "", "optional CSV output path");
+  parse_args(flags, "llsim bench fig03", args);
+
+  print_banner(
+      out, "Figure 3: run/idle burst mean & variance vs utilization",
+      "Paper shapes: run-burst mean rises ~10 ms -> ~250 ms with utilization;"
+      "\nidle-burst mean falls; variances track the means (hyperexponential).",
+      *seed);
+  util::CsvWriter csv(*csv_path);
+  csv.row({"utilization", "run_mean_model", "run_var_model", "idle_mean_model",
+           "idle_var_model", "run_mean_measured", "idle_mean_measured"});
+
+  const auto& model = workload::default_burst_table();
+  util::Table moments({"util", "run mean (ms)", "run var (ms^2)",
+                       "idle mean (ms)", "idle var (ms^2)", "run mean re-fit",
+                       "idle mean re-fit"});
+
+  for (std::size_t lvl = 1; lvl + 1 < workload::kUtilizationLevels; ++lvl) {
+    const double u = workload::BurstTable::level_utilization(lvl);
+    const workload::BurstMoments& m = model.level(lvl);
+
+    // Re-measure through the full generate -> bucket -> fit pipeline.
+    const auto fine = workload::generate_fine_trace(
+        model, u, *per_level, rng::Stream(*seed).fork("lvl", lvl));
+    const auto fitted = workload::analyze_fine_trace(fine).to_table();
+    const workload::BurstMoments& f = fitted.level(lvl);
+
+    moments.add_row({util::percent(u, 0), util::fixed(m.run_mean * 1e3, 1),
+                     util::fixed(m.run_var * 1e6, 1),
+                     util::fixed(m.idle_mean * 1e3, 1),
+                     util::fixed(m.idle_var * 1e6, 1),
+                     util::fixed(f.run_mean * 1e3, 1),
+                     util::fixed(f.idle_mean * 1e3, 1)});
+    csv.row({util::fixed(u, 2), util::fixed(m.run_mean, 6),
+             util::fixed(m.run_var, 9), util::fixed(m.idle_mean, 6),
+             util::fixed(m.idle_var, 9), util::fixed(f.run_mean, 6),
+             util::fixed(f.idle_mean, 6)});
+  }
+  out << moments.render()
+      << "\n(model = shipped table; re-fit = measured back through the "
+         "2-second-window bucketing pipeline)\n";
+  return 0;
+}
+
+/// Paper §3.2 (text statistics): how often workstations are non-idle under
+/// the recruitment rule, and how lightly loaded non-idle time actually is —
+/// the observations motivating fine-grain cycle stealing.
+int run_sec32(const std::vector<std::string>& args, std::ostream& out) {
+  util::Flags flags("llsim bench sec32",
+                    "Coarse-grain workstation availability statistics.");
+  auto seed = flags.add_uint64("seed", 42, "RNG seed");
+  auto machines = flags.add_uint64("machines", 32, "machines in the pool");
+  auto days = flags.add_double("days", 2.0, "trace days per machine");
+  auto csv_path = flags.add_string("csv", "", "optional CSV output path");
+  parse_args(flags, "llsim bench sec32", args);
+
+  print_banner(out, "Section 3.2: coarse-grain availability statistics",
+               "Paper: 46% of time non-idle; 76% of non-idle time below 10% "
+               "CPU;\nidle-state CPU is the destination load 'l' of the "
+               "linger cost model.",
+               *seed);
+
+  const auto pool = TracePoolCache::shared().standard(
+      static_cast<std::size_t>(*machines), *days * 24.0, *seed);
+  const auto stats = trace::analyze_coarse(*pool);
+
+  util::Table summary({"metric", "paper", "measured"});
+  summary.add_row({"non-idle fraction of time", "46%",
+                   util::percent(stats.nonidle_fraction, 1)});
+  summary.add_row({"non-idle time below 10% cpu", "76%",
+                   util::percent(stats.nonidle_below_10pct, 1)});
+  summary.add_row({"mean cpu, overall", "-",
+                   util::percent(stats.mean_cpu_overall, 1)});
+  summary.add_row({"mean cpu, idle state (l)", "-",
+                   util::percent(stats.mean_cpu_idle, 1)});
+  summary.add_row({"mean cpu, non-idle state (h)", "-",
+                   util::percent(stats.mean_cpu_nonidle, 1)});
+  summary.add_row({"mean idle episode", "-",
+                   util::format("%.0f s", stats.mean_idle_episode)});
+  summary.add_row({"mean non-idle episode", "-",
+                   util::format("%.0f s", stats.mean_nonidle_episode)});
+  out << summary.render();
+
+  util::CsvWriter csv(*csv_path);
+  csv.row({"metric", "value"});
+  csv.row({"nonidle_fraction", util::fixed(stats.nonidle_fraction, 4)});
+  csv.row({"nonidle_below_10pct", util::fixed(stats.nonidle_below_10pct, 4)});
+  csv.row({"mean_cpu_overall", util::fixed(stats.mean_cpu_overall, 4)});
+  csv.row({"mean_cpu_idle", util::fixed(stats.mean_cpu_idle, 4)});
+  csv.row({"mean_cpu_nonidle", util::fixed(stats.mean_cpu_nonidle, 4)});
+
+  out << util::format("\nsamples analyzed: %zu (%llu machines x %.1f days)\n",
+                      stats.sample_count,
+                      static_cast<unsigned long long>(*machines), *days);
+  return 0;
+}
+
+/// Paper Figure 4: distribution of available (free) physical memory on
+/// 64 MB workstations, overall and split by idle/non-idle state. The paper's
+/// anchors: >= 14 MB free 90% of the time, >= 10 MB free 95% of the time,
+/// and no significant idle/non-idle difference — enough headroom for one
+/// moderate compute-bound foreign job.
+int run_fig04(const std::vector<std::string>& args, std::ostream& out) {
+  util::Flags flags("llsim bench fig04", "Available-memory distribution.");
+  auto seed = flags.add_uint64("seed", 42, "RNG seed");
+  auto machines = flags.add_uint64("machines", 32, "machines in the pool");
+  auto days = flags.add_double("days", 2.0, "trace days per machine");
+  auto csv_path = flags.add_string("csv", "", "optional CSV output path");
+  parse_args(flags, "llsim bench fig04", args);
+
+  print_banner(out, "Figure 4: distribution of available memory",
+               "Paper: >=14 MB free 90% of time, >=10 MB free 95% of time "
+               "(64 MB machines);\nidle and non-idle distributions nearly "
+               "coincide.",
+               *seed);
+
+  const auto pool = TracePoolCache::shared().standard(
+      static_cast<std::size_t>(*machines), *days * 24.0, *seed);
+  const auto mem = trace::memory_availability(*pool);
+
+  util::CsvWriter csv(*csv_path);
+  csv.row({"free_mb", "all", "idle", "nonidle"});
+
+  util::Table cdf(
+      {"free >= (MB)", "all time", "idle windows", "non-idle windows"});
+  for (double mb : {4.0, 8.0, 10.0, 14.0, 18.0, 22.0, 26.0, 30.0, 36.0, 42.0,
+                    48.0}) {
+    const double all = trace::fraction_with_at_least(mem.all_kb, mb * 1024);
+    const double idle = trace::fraction_with_at_least(mem.idle_kb, mb * 1024);
+    const double nonidle =
+        trace::fraction_with_at_least(mem.nonidle_kb, mb * 1024);
+    cdf.add_row({util::fixed(mb, 0), util::percent(all, 1),
+                 util::percent(idle, 1), util::percent(nonidle, 1)});
+    csv.row({util::fixed(mb, 0), util::fixed(all, 4), util::fixed(idle, 4),
+             util::fixed(nonidle, 4)});
+  }
+  out << cdf.render() << "\npaper anchors: >=14 MB @ 90% -> measured "
+      << util::percent(trace::fraction_with_at_least(mem.all_kb, 14 * 1024), 1)
+      << ";  >=10 MB @ 95% -> measured "
+      << util::percent(trace::fraction_with_at_least(mem.all_kb, 10 * 1024), 1)
+      << "\n";
+  return 0;
+}
+
+/// Paper Figure 5: (a) local-job delay ratio and (b) fine-grain
+/// cycle-stealing ratio versus owner CPU utilization, for effective context
+/// switch costs of 100, 300, and 500 microseconds. Paper: delay ~1% at
+/// 100 us, under 5% at 300 us, ~8% only at 500 us; lingering captures over
+/// 90% of available idle cycles throughout.
+int run_fig05(const std::vector<std::string>& args, std::ostream& out) {
+  util::Flags flags("llsim bench fig05", "LDR and FCSR vs owner utilization.");
+  auto seed = flags.add_uint64("seed", 42, "RNG seed");
+  auto duration = flags.add_double("duration", 4000.0,
+                                   "simulated seconds per point");
+  auto csv_path = flags.add_string("csv", "", "optional CSV output path");
+  parse_args(flags, "llsim bench fig05", args);
+
+  print_banner(out,
+               "Figure 5: foreground delay (LDR) and stealing ratio (FCSR)",
+               "Paper: ~1% delay at 100 us switches; >90% of idle cycles "
+               "captured at every load level.",
+               *seed);
+
+  const auto& table = workload::default_burst_table();
+  const double switches[] = {100e-6, 300e-6, 500e-6};
+
+  util::CsvWriter csv(*csv_path);
+  csv.row({"utilization", "ctx_switch_us", "ldr", "fcsr"});
+
+  util::Table ldr({"util", "LDR 100us", "LDR 300us", "LDR 500us"});
+  util::Table fcsr({"util", "FCSR 100us", "FCSR 300us", "FCSR 500us"});
+  std::vector<util::ChartSeries> ldr_curves{{"100us", {}, {}},
+                                            {"300us", {}, {}},
+                                            {"500us", {}, {}}};
+  for (double u = 0.05; u <= 0.951; u += 0.05) {
+    std::vector<std::string> ldr_row{util::percent(u, 0)};
+    std::vector<std::string> fcsr_row{util::percent(u, 0)};
+    std::size_t curve = 0;
+    for (double cs : switches) {
+      node::FineNodeConfig cfg;
+      cfg.utilization = u;
+      cfg.context_switch = cs;
+      cfg.duration = *duration;
+      const auto r = node::simulate_fine_node(
+          cfg, table, rng::Stream(*seed).fork("pt", static_cast<std::uint64_t>(
+                                                        u * 1000 + cs * 1e7)));
+      ldr_row.push_back(util::percent(r.ldr(), 2));
+      fcsr_row.push_back(util::percent(r.fcsr(), 1));
+      csv.row({util::fixed(u, 2), util::fixed(cs * 1e6, 0),
+               util::fixed(r.ldr(), 5), util::fixed(r.fcsr(), 5)});
+      ldr_curves[curve].xs.push_back(u * 100);
+      ldr_curves[curve].ys.push_back(r.ldr() * 100);
+      ++curve;
+    }
+    ldr.add_row(ldr_row);
+    fcsr.add_row(fcsr_row);
+  }
+  util::ChartOptions chart;
+  chart.x_label = "local CPU usage (%)";
+  chart.y_label = "delay ratio (%)";
+  chart.y_min = 0.0;
+  out << "(a) Local-job delay ratio:\n"
+      << ldr.render() << "\n"
+      << util::render_chart(ldr_curves, chart) << "\n"
+      << "(b) Fine-grain cycle-stealing ratio:\n"
+      << fcsr.render();
+  return 0;
+}
+
+}  // namespace
+
+void register_workload_benches(BenchRegistry& registry) {
+  registry.add(Bench{"fig02",
+                     "Fig. 2 — burst CDFs vs fitted hyperexponentials",
+                     run_fig02});
+  registry.add(
+      Bench{"fig03", "Fig. 3 — burst moments vs utilization", run_fig03});
+  registry.add(
+      Bench{"sec32", "§3.2 — 46% non-idle / 76% below 10% CPU", run_sec32});
+  registry.add(
+      Bench{"fig04", "Fig. 4 — available-memory distribution", run_fig04});
+  registry.add(Bench{"fig05", "Fig. 5 — foreground delay & stealing ratio",
+                     run_fig05});
+}
+
+}  // namespace ll::exp

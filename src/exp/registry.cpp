@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <fstream>
-#include <iostream>
 #include <ostream>
 #include <stdexcept>
 
@@ -16,6 +15,7 @@ namespace ll::exp {
 BenchRegistry& BenchRegistry::instance() {
   static BenchRegistry* registry = [] {
     auto* r = new BenchRegistry;
+    register_workload_benches(*r);
     register_cluster_benches(*r);
     register_parallel_benches(*r);
     register_ablation_benches(*r);
@@ -46,15 +46,22 @@ std::vector<const Bench*> BenchRegistry::list() const {
 
 int run_bench_cli(const std::vector<std::string>& raw_args, std::ostream& out,
                   std::ostream& err) {
-  // Peel --metrics-out=FILE before dispatch: it is a cross-bench flag (every
+  // Peel --metrics-out FILE (or --metrics-out=FILE, the two forms
+  // util::Flags accepts) before dispatch: it is a cross-bench flag (every
   // registered bench gets a run manifest without re-implementing the
   // plumbing), so the bench's own flag parser must never see it.
   std::string metrics_out;
   std::vector<std::string> args;
   args.reserve(raw_args.size());
-  for (const std::string& a : raw_args) {
+  for (std::size_t i = 0; i < raw_args.size(); ++i) {
     constexpr std::string_view kFlag = "--metrics-out=";
-    if (a.rfind(kFlag, 0) == 0) {
+    const std::string& a = raw_args[i];
+    if (a == "--metrics-out") {
+      if (i + 1 == raw_args.size()) {
+        throw std::invalid_argument("flag --metrics-out expects a value");
+      }
+      metrics_out = raw_args[++i];
+    } else if (a.rfind(kFlag, 0) == 0) {
       metrics_out = a.substr(kFlag.size());
     } else {
       args.push_back(a);
@@ -65,10 +72,12 @@ int run_bench_cli(const std::vector<std::string>& raw_args, std::ostream& out,
   if (args.empty() || args[0] == "--list" || args[0] == "list") {
     out << "Registered benches (run with: llsim bench <name> [flags], "
            "--help for each):\n";
-    for (const Bench* b : registry.list()) {
-      out << "  " << b->name;
-      for (std::size_t i = b->name.size(); i < 20; ++i) out << ' ';
-      out << b->summary << "\n";
+    const std::vector<const Bench*> benches = registry.list();
+    std::size_t width = 0;
+    for (const Bench* b : benches) width = std::max(width, b->name.size());
+    for (const Bench* b : benches) {
+      out << "  " << b->name << std::string(width + 2 - b->name.size(), ' ')
+          << b->summary << "\n";
     }
     return 0;
   }
@@ -97,16 +106,6 @@ int run_bench_cli(const std::vector<std::string>& raw_args, std::ostream& out,
     out << "wrote run manifest to " << metrics_out << "\n";
   }
   return rc;
-}
-
-int bench_main(std::string_view name, int argc, char** argv) {
-  const Bench* bench = BenchRegistry::instance().find(name);
-  if (!bench) {
-    std::cerr << "bench '" << name << "' is not registered\n";
-    return 2;
-  }
-  return bench->run(std::vector<std::string>(argv + 1, argv + argc),
-                    std::cout);
 }
 
 }  // namespace ll::exp

@@ -1,12 +1,9 @@
 #pragma once
 
 /// \file registry.hpp
-/// The benchx registry: every figure/ablation sweep registers a name, a
-/// one-line summary, and an entry point taking (args, out). `llsim bench
-/// <name>` and the thin standalone wrappers under bench/ dispatch through
-/// it, replacing the per-binary main() boilerplate (flag setup, pool
-/// construction, policy iteration, table/CSV emission) the 24 hand-rolled
-/// benches duplicated.
+/// The bench registry: every figure, ablation and extension of the paper's
+/// evaluation registers a name, a one-line summary, and an entry point
+/// taking (args, out). `llsim bench <name>` is the one way to run them.
 
 #include <functional>
 #include <iosfwd>
@@ -38,13 +35,10 @@ class BenchRegistry {
 };
 
 /// `llsim bench` entry: `--list` (or no args) lists the registry; otherwise
-/// args[0] names the bench and the rest are its flags. Returns the bench's
-/// exit code; 2 on unknown names.
+/// args[0] names the bench and the rest are its flags, plus `--metrics-out
+/// FILE` (or `--metrics-out=FILE`), which any bench accepts. Returns the
+/// bench's exit code; 2 on unknown names.
 int run_bench_cli(const std::vector<std::string>& args, std::ostream& out,
                   std::ostream& err);
-
-/// main() body for the thin standalone wrappers under bench/:
-/// `bench_main("fig07", argc, argv)` forwards argv to the registered bench.
-int bench_main(std::string_view name, int argc, char** argv);
 
 }  // namespace ll::exp

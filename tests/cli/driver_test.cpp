@@ -4,8 +4,11 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 
+#include "exp/registry.hpp"
 #include "exp/scenario.hpp"
 #include "trace/trace_io.hpp"
 #include "util/json.hpp"
@@ -306,6 +309,109 @@ TEST_F(CliTest, BenchListShowsRegisteredBenches) {
   EXPECT_NE(r.out.find("fig07"), std::string::npos);
   EXPECT_NE(r.out.find("fig11"), std::string::npos);
   EXPECT_NE(r.out.find("abl_pause_time"), std::string::npos);
+  // Every name stands apart from its summary, however long the name.
+  for (const exp::Bench* bench : exp::BenchRegistry::instance().list()) {
+    EXPECT_NE(r.out.find("  " + bench->name + "  "), std::string::npos)
+        << bench->name;
+  }
+}
+
+TEST_F(CliTest, BenchEveryRegisteredBenchRuns) {
+  // Small flags for every registered bench. `engine` marks the sweeps moved
+  // onto the engine from standalone programs, whose --json output must not
+  // depend on --jobs.
+  struct Row {
+    std::vector<std::string> flags;
+    bool engine = false;
+  };
+  const std::map<std::string, Row> rows = {
+      {"fig02", {{"--trace-seconds=2000"}}},
+      {"fig03", {{"--trace-seconds=100"}}},
+      {"fig04", {{"--machines=2", "--days=0.1"}}},
+      {"fig05", {{"--duration=20"}}},
+      {"sec32", {{"--machines=2", "--days=0.1"}}},
+      {"fig07", {{"--nodes=8", "--machines=4", "--reps=1"}}},
+      {"fig08", {{"--nodes=8", "--machines=4"}}},
+      {"fig09", {{"--phases=3"}}},
+      {"fig10", {{"--work-per-point=0.1"}}},
+      {"fig11", {{"--reps=1"}}},
+      {"fig12", {{"--seed=3"}}},
+      {"fig13", {{"--util=0.3"}}},
+      {"abl_burst_model", {{"--seed=3"}}},
+      {"abl_ctx_switch", {{"--nodes=8", "--machines=4"}}},
+      {"abl_memory_priority", {{"--nodes=4"}, true}},
+      {"abl_migration_cost", {{"--nodes=8", "--machines=4"}}},
+      {"abl_multi_occupancy", {{"--nodes=4"}, true}},
+      {"abl_owner_restore", {{"--nodes=8", "--machines=4"}, true}},
+      {"abl_pause_time", {{"--nodes=8", "--machines=4"}}},
+      {"abl_predictor", {{"--nodes=8", "--machines=4"}}},
+      {"ext_fault_robustness", {{"--nodes=8", "--machines=4"}}},
+      {"ext_parallel_throughput",
+       {{"--nodes=8", "--duration=600", "--work=60"}, true}},
+      {"ext_scale",
+       {{"--nodes=500", "--machines=8", "--closed-duration=300"}}},
+      {"ext_scale_sharded",
+       {{"--nodes=500", "--machines=8", "--closed-duration=300",
+         "--min-speedup=0"}}},
+      {"ext_trace_sensitivity", {{"--nodes=4"}, true}},
+  };
+  std::set<std::string> registered;
+  for (const exp::Bench* bench : exp::BenchRegistry::instance().list()) {
+    registered.insert(bench->name);
+    const auto row = rows.find(bench->name);
+    if (row == rows.end()) {
+      ADD_FAILURE() << "registered bench " << bench->name << " has no row";
+      continue;
+    }
+    std::vector<std::string> args = {"bench", bench->name};
+    args.insert(args.end(), row->second.flags.begin(),
+                row->second.flags.end());
+    const CliResult r = run(args);
+    EXPECT_EQ(r.code, 0) << bench->name << ": " << r.err;
+    EXPECT_EQ(r.out.rfind("=== ", 0), 0u) << bench->name << ": " << r.out;
+    if (!row->second.engine) continue;
+    auto json_with_jobs = [&args](const std::string& jobs) {
+      std::vector<std::string> json_args = args;
+      json_args.push_back("--json");
+      json_args.push_back("--jobs=" + jobs);
+      return run(json_args);
+    };
+    const CliResult one = json_with_jobs("1");
+    EXPECT_EQ(one.code, 0) << bench->name << ": " << one.err;
+    EXPECT_EQ(one.out, json_with_jobs("4").out) << bench->name;
+  }
+  for (const auto& [name, row] : rows) {
+    EXPECT_EQ(registered.count(name), 1u) << "row " << name
+                                          << " names no registered bench";
+  }
+}
+
+TEST_F(CliTest, BenchMetricsOutTakesEitherFlagForm) {
+  const std::vector<std::string> base = {"bench", "fig07", "--nodes=8",
+                                         "--machines=4", "--reps=1"};
+  auto with = [&base](const std::vector<std::string>& extra) {
+    std::vector<std::string> args = base;
+    args.insert(args.end(), extra.begin(), extra.end());
+    return run(args);
+  };
+  const CliResult space = with({"--metrics-out", path("space.json")});
+  ASSERT_EQ(space.code, 0) << space.err;
+  const CliResult equals = with({"--metrics-out=" + path("equals.json")});
+  ASSERT_EQ(equals.code, 0) << equals.err;
+  for (const std::string& file : {path("space.json"), path("equals.json")}) {
+    std::ifstream in(file);
+    ASSERT_TRUE(in.good()) << file;
+    std::stringstream buf;
+    buf << in.rdbuf();
+    EXPECT_NE(buf.str().find("\"tool\": \"llsim bench fig07\""),
+              std::string::npos)
+        << file;
+  }
+  const CliResult dangling = with({"--metrics-out"});
+  EXPECT_EQ(dangling.code, 1);
+  EXPECT_NE(dangling.err.find("--metrics-out expects a value"),
+            std::string::npos)
+      << dangling.err;
 }
 
 TEST_F(CliTest, BenchUnknownNameFails) {

@@ -283,8 +283,8 @@ int main(int argc, char** argv) {
     std::cerr << "llload: " << e.what() << "\n";
     return 2;
   }
-  if (*port <= 0) {
-    std::cerr << "llload: --port is required\n";
+  if (*port < 1 || *port > 65535) {
+    std::cerr << "llload: --port is required, in [1, 65535]\n";
     return 2;
   }
 
