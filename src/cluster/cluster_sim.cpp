@@ -75,6 +75,12 @@ struct JobRuntime {
 /// On a 4-vCPU Xeon host this took the event loop of a 2000-node, 1800-s
 /// closed run over a 256-machine, 24-h pool (177 MB) from 170 to 129 ms
 /// (median of 5 rounds); 4 or 16 nodes ahead did no better than 8.
+///
+/// The tick skips per-node work no result reads: a node's page pool
+/// follows its trace only while the node hosts a guest. An empty node's
+/// pool holds no foreign pages and its local pages are the last sample's,
+/// clamped, so the tick records that sample in the SoA node_local_pages
+/// and place_job hands it to the pool with the first guest.
 struct ClusterSim::Node {
   const trace::CoarseTrace* trace = nullptr;
   const std::vector<bool>* flags = nullptr;  // idle flags, per trace sample
@@ -114,14 +120,15 @@ struct ClusterSim::Impl {
   // ---- hot per-node state, SoA --------------------------------------------
   // Parallel vectors indexed by node. best_free_node, tick, account_window
   // and note_metrics scan every node; these are the only fields they read,
-  // so the scans stream through packed arrays (8/1/1/4/4/8 bytes per node)
-  // instead of striding over ~200-byte Node records.
+  // so the scans stream through packed arrays (8/1/1/4/4/8/4 bytes per
+  // node) instead of striding over ~200-byte Node records.
   std::vector<double> node_util;            // owner CPU this window
   std::vector<std::uint8_t> node_idle;      // recruitment-rule idle flag
   std::vector<std::uint8_t> node_down;      // crashed and not yet recovered
   std::vector<std::uint32_t> node_occ;      // occupants.size()
   std::vector<std::uint32_t> node_used;     // occupants + reserved slots
   std::vector<double> node_episode;         // start of current non-idle episode
+  std::vector<std::uint32_t> node_local_pages;  // owner pages this window
 
   [[nodiscard]] bool is_idle(std::size_t i) const { return node_idle[i] != 0; }
 
@@ -296,7 +303,9 @@ struct ClusterSim::Impl {
     auto used_kb = static_cast<std::uint32_t>(
         std::max<std::int64_t>(0, cfg.mem_total_kb - free_kb));
     if (now() < n.pressure_until) used_kb += n.pressure_kb;
-    n.pool->set_local_pages(node::PagePool::kb_to_pages(used_kb));
+    node_local_pages[i] = node::PagePool::kb_to_pages(used_kb);
+    if (node_occ[i] == 0) return;  // no guest reads the pool
+    n.pool->set_local_pages(node_local_pages[i]);
     update_memory(n);
   }
 
@@ -536,6 +545,10 @@ struct ClusterSim::Impl {
     const bool idle = is_idle(node_idx);
     if (tracer) {
       tracer->instant(idle ? tl.job_running : tl.job_lingering, now(), id);
+    }
+    if (n.pool && n.occupants.empty()) {
+      // The first guest: bring the pool up to the window's owner pages.
+      n.pool->set_local_pages(node_local_pages[node_idx]);
     }
     n.occupants.push_back(id);
     sync_slots(node_idx);
@@ -1175,6 +1188,7 @@ ClusterSim::ClusterSim(ClusterConfig config,
   im.node_occ.assign(im.cfg.node_count, 0);
   im.node_used.assign(im.cfg.node_count, 0);
   im.node_episode.assign(im.cfg.node_count, 0.0);
+  im.node_local_pages.assign(im.cfg.node_count, 0);
   for (std::size_t i = 0; i < im.cfg.node_count; ++i) {
     Node& n = im.nodes[i];
     const auto pick = im.cfg.randomize_placement

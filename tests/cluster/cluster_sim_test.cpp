@@ -421,6 +421,24 @@ TEST(ClusterSim, MemoryPressureSlowsForeignJob) {
               *roomy.jobs().front().completion, 2.0);
 }
 
+TEST(ClusterSim, FirstGuestSeesTheWindowsOwnerPages) {
+  // Roomy for 10 windows, then starved (2 MB free). The node hosts nobody
+  // until t = 30 s, so its page pool skips the windows in between; the
+  // first guest must still find the starved pool, run at the memory floor
+  // (5%) from its first second, and need 20 / 0.05 = 400 s.
+  std::vector<trace::CoarseTrace> pool{trace::CoarseTrace(2.0)};
+  for (int i = 0; i < 4000; ++i) {
+    pool[0].push({0.0, i < 10 ? 65536 : 2048, false});
+  }
+  ClusterSim sim(base_config(core::PolicyKind::LingerForever, 1), pool,
+                 table(), rng::Stream(15));
+  sim.run_for(30.0);
+  sim.submit(20.0);
+  sim.run_until_all_complete(1e6);
+  const JobRecord& job = sim.jobs().front();
+  EXPECT_NEAR(*job.completion - job.submit_time, 400.0, 1.0);
+}
+
 TEST(ClusterSim, IdleUtilizationMeasuredFromPool) {
   // Idle windows at 5% cpu (below the 10% threshold).
   trace::CoarseTrace t(2.0);
