@@ -76,11 +76,15 @@ struct JobRuntime {
 /// closed run over a 256-machine, 24-h pool (177 MB) from 170 to 129 ms
 /// (median of 5 rounds); 4 or 16 nodes ahead did no better than 8.
 ///
-/// The tick skips per-node work no result reads: a node's page pool
-/// follows its trace only while the node hosts a guest. An empty node's
-/// pool holds no foreign pages and its local pages are the last sample's,
-/// clamped, so the tick records that sample in the SoA node_local_pages
-/// and place_job hands it to the pool with the first guest.
+/// The tick does only the per-node work some result reads. Two kinds are
+/// skipped. A completion event is armed only when it lands at or before
+/// the next tick (reschedule_completion): each tick re-rates every
+/// executing guest, so a later one would be cancelled there unfired. And a
+/// node's page pool follows its trace only while the node hosts a guest:
+/// an empty node's pool holds no foreign pages and its local pages are the
+/// last sample's, clamped, so the tick records that sample in the SoA
+/// node_local_pages and place_job hands it to the pool with the first
+/// guest.
 struct ClusterSim::Node {
   const trace::CoarseTrace* trace = nullptr;
   const std::vector<bool>* flags = nullptr;  // idle flags, per trace sample
@@ -238,13 +242,18 @@ struct ClusterSim::Impl {
     return cfg.migration.cost(job.bytes);
   }
 
+  /// The first window boundary after now(): where ensure_tick puts the
+  /// next tick. While a job executes a tick is pending there, or (inside
+  /// tick()) is about to be.
+  [[nodiscard]] double next_tick_time() const {
+    return (std::floor(now() / period + 1e-9) + 1.0) * period;
+  }
+
   void ensure_tick() {
     if (tick_scheduled) return;
     if (self.active_jobs_ == 0 && now() >= tick_horizon) return;
-    const double next =
-        (std::floor(now() / period + 1e-9) + 1.0) * period;
     tick_scheduled = true;
-    sim.schedule_at(next, [this] { tick(); }, kTagTick);
+    sim.schedule_at(next_tick_time(), [this] { tick(); }, kTagTick);
   }
 
   /// Occupants currently consuming CPU (Running or Lingering) — they
@@ -360,9 +369,14 @@ struct ClusterSim::Impl {
     }
     r.rate = execution_rate(static_cast<std::size_t>(r.node));
     if (r.rate <= 0.0) return;
-    const double eta = job.remaining / r.rate;
-    r.completion_event = sim.schedule_in(
-        eta,
+    // Event-sparse: the next tick re-rates every executing guest, so a
+    // completion due after it could only be cancelled there. Arm only one
+    // that lands at or before the tick (on a tie it was armed first, so it
+    // fires first); otherwise the tick integrates the job and decides again.
+    const double at = now() + job.remaining / r.rate;
+    if (!(at <= next_tick_time())) return;
+    r.completion_event = sim.schedule_at(
+        at,
         [this, id] {
           if (integrate(id)) {
             complete(id);

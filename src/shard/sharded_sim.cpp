@@ -68,6 +68,10 @@ struct ShardedClusterSim::Shard {
 
   std::uint64_t advance_ns = 0;
   bool participated = false;
+
+  // Time of the pending tick (set as each tick is scheduled): the latest a
+  // completion may land and still be armed.
+  double next_tick = 0.0;
 };
 
 ShardedClusterSim::ShardedClusterSim(cluster::ClusterConfig config,
@@ -164,8 +168,9 @@ ShardedClusterSim::ShardedClusterSim(cluster::ClusterConfig config,
       refresh_node(sh, i, 0.0, false);
     }
     Shard* shp = &sh;
+    sh.next_tick = period_;
     sh.sim.schedule_at(
-        period_, [this, shp] { tick(*shp, 1); }, kTagTick);
+        sh.next_tick, [this, shp] { tick(*shp, 1); }, kTagTick);
     if (faults_) {
       for (const fault::FaultEvent& ev : faults_->events()) {
         bool mine = false;
@@ -240,11 +245,15 @@ void ShardedClusterSim::arm_completion(Shard& sh, std::size_t i, double t) {
   if (!executing(job)) return;
   const double rate = rates_.foreign_rate(node_util_[i]);
   if (!(rate > 1e-12)) return;
-  const double eta = job.remaining / rate;
-  if (!(eta >= 0.0) || eta > 1e12) return;
+  // Event-sparse: the shard's next tick re-arms every node, so a completion
+  // due after it could only be cancelled there. Arm only one that lands at
+  // or before that tick; otherwise the tick integrates the job and decides
+  // again.
+  const double at = t + job.remaining / rate;
+  if (!(at <= sh.next_tick)) return;
   Shard* shp = &sh;
   sh.completion_evt[i] = sh.sim.schedule_at(
-      t + eta,
+      at,
       [this, shp, i] { complete_job(*shp, i, shp->sim.now()); },
       kTagCompletion);
 }
@@ -345,14 +354,16 @@ void ShardedClusterSim::refresh_node(Shard& sh, std::size_t i, double t,
 
 void ShardedClusterSim::tick(Shard& sh, std::uint64_t k) {
   const double t = static_cast<double>(k) * period_;
+  // Tick k + 1 is scheduled after the loop, but the loop's arming must
+  // already compare against it.
+  sh.next_tick = static_cast<double>(k + 1) * period_;
   for (std::size_t i = sh.lo; i < sh.hi; ++i) {
     integrate_to(i, t);
     refresh_node(sh, i, t, true);
   }
   Shard* shp = &sh;
   sh.sim.schedule_at(
-      static_cast<double>(k + 1) * period_, [this, shp, k] { tick(*shp, k + 1); },
-      kTagTick);
+      sh.next_tick, [this, shp, k] { tick(*shp, k + 1); }, kTagTick);
 }
 
 void ShardedClusterSim::start_checkpoint(Shard& sh, std::size_t i, double t) {

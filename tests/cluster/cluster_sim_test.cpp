@@ -439,6 +439,26 @@ TEST(ClusterSim, FirstGuestSeesTheWindowsOwnerPages) {
   EXPECT_NEAR(*job.completion - job.submit_time, 400.0, 1.0);
 }
 
+TEST(ClusterSim, ArmsOnlyCompletionsThatCanFire) {
+  // Every tick re-rates every executing guest, so a completion is armed
+  // only when it lands by the next tick. Arming one at every re-rate, as
+  // this engine once did, cancelled ~20x what it fired on Figure 7's cell.
+  const auto pool = synthetic_pool(8, 7);
+  ExperimentConfig cfg;
+  cfg.cluster.node_count = 64;
+  cfg.workload = workload_1();
+  cfg.seed = 42;
+  RunHooks hooks;
+  hooks.on_finish = [](ClusterSim& sim) {
+    const des::Simulation& e = sim.engine();
+    EXPECT_EQ(e.events_scheduled(),
+              e.events_fired() + e.events_cancelled() + e.pending_count());
+    EXPECT_LE(e.events_cancelled(), e.events_fired());
+  };
+  EXPECT_EQ(run_open(cfg, pool, table(), nullptr, &hooks).completed, 128u);
+  EXPECT_GT(run_closed(cfg, pool, table(), 3600.0, &hooks).completed, 0u);
+}
+
 TEST(ClusterSim, IdleUtilizationMeasuredFromPool) {
   // Idle windows at 5% cpu (below the 10% threshold).
   trace::CoarseTrace t(2.0);

@@ -78,6 +78,15 @@ inline cluster::ExperimentConfig small_experiment(core::PolicyKind policy) {
   return cfg;
 }
 
+/// A synthetic pool of `machines` day-long traces (the generator's
+/// defaults, as llsim's standard pool), for runs shaped like Figure 7's.
+inline std::vector<trace::CoarseTrace> synthetic_pool(std::size_t machines,
+                                                      std::uint64_t seed) {
+  trace::CoarseGenConfig gen;
+  gen.duration = 24.0 * 3600.0;
+  return trace::generate_machine_pool(gen, machines, rng::Stream(seed));
+}
+
 inline const workload::BurstTable& table() {
   return workload::default_burst_table();
 }

@@ -17,6 +17,7 @@
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
 #include "rng/rng.hpp"
+#include "shard/experiment.hpp"
 #include "shard/sharded_sim.hpp"
 #include "util/runner.hpp"
 
@@ -183,6 +184,37 @@ TEST(ShardedSim, ClosedRunIsShardCountInvariant) {
   EXPECT_TRUE(one == four);
   EXPECT_GT(one.completions, 0u);
   EXPECT_DOUBLE_EQ(one.now, 900.0);
+}
+
+TEST(ShardedSim, ArmsOnlyCompletionsThatCanFire) {
+  // Each shard's tick re-arms every node of the shard, so a completion is
+  // armed only when it lands by that shard's next tick. Three shards split
+  // 64 nodes unevenly, so the shards' arming is checked apart.
+  const auto pool = test_support::synthetic_pool(8, 7);
+  cluster::ExperimentConfig cfg;
+  cfg.cluster.node_count = 64;
+  cfg.workload = cluster::workload_1();
+  cfg.seed = 42;
+  RunHooks hooks;
+  hooks.on_finish = [](ShardedClusterSim& sim) {
+    std::uint64_t fired = 0;
+    std::uint64_t cancelled = 0;
+    for (std::size_t k = 0; k < sim.shard_count(); ++k) {
+      const des::Simulation& e = sim.engine(k);
+      EXPECT_EQ(e.events_scheduled(),
+                e.events_fired() + e.events_cancelled() + e.pending_count());
+      fired += e.events_fired();
+      cancelled += e.events_cancelled();
+    }
+    EXPECT_LE(cancelled, fired);
+  };
+  EXPECT_EQ(shard::run_open(cfg, 3, pool, table(), nullptr, nullptr, &hooks)
+                .completed,
+            128u);
+  EXPECT_GT(
+      shard::run_closed(cfg, 3, pool, table(), 3600.0, nullptr, &hooks)
+          .completed,
+      0u);
 }
 
 TEST(ShardedSim, WorkStealingRunnerMatchesSerialExecution) {
