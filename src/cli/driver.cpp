@@ -945,7 +945,6 @@ int cmd_faults(const std::vector<std::string>& args, std::ostream& out) {
   require_nonnegative("faults", "closed", *closed);
 
   const core::PolicyKind policy = core::parse_policy_name(*policy_name);
-  const auto pool = pool_from_flags(*traces_dir, *machines, *days, *seed + 1);
 
   cluster::ExperimentConfig cfg;
   cfg.cluster.node_count = *nodes;
@@ -968,6 +967,9 @@ int cmd_faults(const std::vector<std::string>& args, std::ostream& out) {
         fault::ArrivalProcess::exponential(1.0 / *pressure_every);
   }
   cfg.cluster.checkpoint.interval = *checkpoint;
+  // Refuse an unbounded fault plan before spending time on the pool.
+  cfg.cluster.faults.validate();
+  const auto pool = pool_from_flags(*traces_dir, *machines, *days, *seed + 1);
 
   obs::MetricRegistry registry;
   std::vector<obs::MetricSample> metrics;

@@ -6,6 +6,7 @@
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "rng/distributions.hpp"
 #include "util/table.hpp"
@@ -120,6 +121,21 @@ std::vector<double> ArrivalProcess::draw(double horizon,
   return out;
 }
 
+double ArrivalProcess::expected_count(double horizon) const {
+  switch (kind) {
+    case Kind::None:
+      return 0.0;
+    case Kind::Exponential:
+      return rate * horizon;
+    case Kind::HyperExp2:
+      return horizon / (p / rate1 + (1.0 - p) / rate2);
+    case Kind::Fixed:
+      return static_cast<double>(std::count_if(
+          times.begin(), times.end(), [horizon](double t) { return t < horizon; }));
+  }
+  throw std::logic_error("ArrivalProcess: unknown kind");
+}
+
 bool FaultSpec::empty() const {
   return crash.arrivals.empty() && storm.arrivals.empty() &&
          pressure.arrivals.empty() && link.drop_probability == 0.0;
@@ -130,6 +146,15 @@ void FaultSpec::validate() const {
   storm.arrivals.validate("storm");
   pressure.arrivals.validate("pressure");
   require(std::isfinite(horizon) && horizon > 0.0, "horizon must be > 0");
+  for (const auto& [what, arrivals] :
+       {std::pair{"crash", &crash.arrivals}, std::pair{"storm", &storm.arrivals},
+        std::pair{"pressure", &pressure.arrivals}}) {
+    const double expected = arrivals->expected_count(horizon);
+    require(expected <= kMaxExpectedArrivals,
+            util::format("%s arrivals expect %.3g events over the %g-s "
+                         "horizon (at most %.0e)",
+                         what, expected, horizon, kMaxExpectedArrivals));
+  }
   require(std::isfinite(crash.mean_downtime) && crash.mean_downtime > 0.0,
           "crash mean_downtime must be > 0");
   require(link.drop_probability >= 0.0 && link.drop_probability < 1.0,

@@ -67,6 +67,10 @@ struct ArrivalProcess {
   /// (spec, stream); an empty process returns no times and consumes no draws.
   [[nodiscard]] std::vector<double> draw(double horizon,
                                          rng::Stream& stream) const;
+
+  /// Mean number of arrivals in [0, horizon): rate x horizon for the
+  /// random kinds, the count of fixed times below the horizon otherwise.
+  [[nodiscard]] double expected_count(double horizon) const;
 };
 
 /// Whole-node crashes. Each arrival picks a victim uniformly at random; the
@@ -118,13 +122,19 @@ struct FaultSpec {
   /// Timeline horizon: arrivals are drawn in [0, horizon).
   double horizon = 86400.0;
 
+  /// Most arrivals one category may expect over the horizon. The compiled
+  /// timeline holds every arrival, so a rate past any real plan (a 1e-4-s
+  /// MTBF asks for billions) must be refused before it is drawn.
+  static constexpr double kMaxExpectedArrivals = 1e6;
+
   /// True when the spec can never inject anything: no arrivals in any
   /// category and a zero link-drop probability. Simulators skip stream
   /// forking and event scheduling entirely for empty specs.
   [[nodiscard]] bool empty() const;
 
   /// Throws std::invalid_argument with a specific message on any
-  /// nonsensical parameter. Cheap; safe to call unconditionally.
+  /// nonsensical parameter, or when a category expects more than
+  /// kMaxExpectedArrivals arrivals. Cheap; safe to call unconditionally.
   void validate() const;
 };
 

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
+#include <utility>
 
 #include "exp/registry.hpp"
 #include "exp/scenario.hpp"
@@ -495,6 +497,27 @@ TEST_F(CliTest, FaultsRejectsUnknownPolicy) {
   const CliResult r = run({"faults", "--policy=condor"});
   EXPECT_EQ(r.code, 1);
   EXPECT_NE(r.err.find("unknown policy"), std::string::npos);
+}
+
+TEST_F(CliTest, FaultsRejectsUnboundedTimelines) {
+  // Each asked ArrivalProcess::draw for 1e9-1e10 arrival times and died in
+  // the allocator; now the plan is refused, naming its category, before
+  // the trace pool is built.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"--mtbf=1e-4", "crash"},
+      {"--storm-every=1e-4", "storm"},
+      {"--pressure-every=1e-4", "pressure"},
+  };
+  for (const auto& [flag, category] : cases) {
+    const auto start = std::chrono::steady_clock::now();
+    const CliResult r = run({"faults", "--nodes=4", flag});
+    const std::chrono::duration<double> took =
+        std::chrono::steady_clock::now() - start;
+    EXPECT_EQ(r.code, 1) << flag;
+    EXPECT_NE(r.err.find(category + " arrivals expect"), std::string::npos)
+        << flag << ": " << r.err;
+    EXPECT_LT(took.count(), 1.0) << flag;
+  }
 }
 
 TEST_F(CliTest, TraceScenarioWritesValidChromeJson) {

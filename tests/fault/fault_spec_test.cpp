@@ -4,6 +4,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 namespace ll::fault {
 namespace {
@@ -91,6 +92,40 @@ TEST(FaultSpec, ValidateNamesTheBadField) {
   ok.crash.arrivals = ArrivalProcess::exponential(0.001);
   ok.link.drop_probability = 0.2;
   EXPECT_NO_THROW(ok.validate());
+}
+
+TEST(FaultSpec, ValidateCapsExpectedArrivalsPerCategory) {
+  // The cap counts the mean arrivals over the horizon, for every kind.
+  EXPECT_DOUBLE_EQ(ArrivalProcess::exponential(0.5).expected_count(100.0),
+                   50.0);
+  EXPECT_DOUBLE_EQ(
+      ArrivalProcess::hyperexp2(0.5, 1.0, 0.25).expected_count(250.0), 100.0);
+  EXPECT_DOUBLE_EQ(
+      ArrivalProcess::fixed({1.0, 2.0, 300.0}).expected_count(100.0), 2.0);
+
+  const double at_cap = FaultSpec::kMaxExpectedArrivals / 86400.0;
+  FaultSpec ok;
+  ok.crash.arrivals = ArrivalProcess::exponential(at_cap);
+  EXPECT_NO_THROW(ok.validate());
+
+  for (const char* category : {"crash", "storm", "pressure"}) {
+    FaultSpec spec;
+    ArrivalProcess& arrivals = std::string(category) == "crash"
+                                   ? spec.crash.arrivals
+                                   : std::string(category) == "storm"
+                                         ? spec.storm.arrivals
+                                         : spec.pressure.arrivals;
+    arrivals = ArrivalProcess::exponential(4e4);  // llsim faults --mtbf=1e-4
+    try {
+      spec.validate();
+      FAIL() << category << ": expected invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string(category) +
+                                           " arrivals expect"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(FaultSchedule, EmptySpecCompilesToEmptySchedule) {
