@@ -24,6 +24,10 @@ constexpr std::size_t kMaxJobs = 100000;
 constexpr std::size_t kMaxMachines = 1024;
 constexpr std::size_t kMaxReps = 1000;
 constexpr double kMaxDays = 32.0;
+// machines x days: each machine-day is 43,200 samples (~0.7 MB) of pool,
+// built and cached whole, so the two caps above alone would admit ~22.6 GB.
+// 256 machine-days is the largest pool any bench builds (ext_scale's).
+constexpr double kMaxMachineDays = 256.0;
 constexpr double kMaxClosedSeconds = 7.0 * 24.0 * 3600.0;
 
 std::size_t size_field(const json::Value& v, const std::string& key,
@@ -93,6 +97,11 @@ ClusterScenario ClusterScenario::from_json(const json::Value& v) {
     } else {
       throw std::invalid_argument("params has unknown key '" + key + "'");
     }
+  }
+  if (static_cast<double>(sc.machines) * sc.days > kMaxMachineDays) {
+    throw std::invalid_argument(
+        "params.machines x params.days exceeds " +
+        std::to_string(static_cast<int>(kMaxMachineDays)) + " machine-days");
   }
   return sc;
 }

@@ -86,6 +86,12 @@ Server::Server(ServerConfig config)
 Server::~Server() { shutdown(); }
 
 void Server::start() {
+  if (config_.batch_max == 0) {
+    throw std::invalid_argument("serve: batch_max must be >= 1");
+  }
+  if (config_.queue_capacity == 0) {
+    throw std::invalid_argument("serve: queue_capacity must be >= 1");
+  }
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) throw std::runtime_error(sys_error("socket"));
   const int one = 1;

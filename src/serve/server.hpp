@@ -86,7 +86,11 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Binds, listens and spawns the accept + dispatcher threads. Throws
-  /// std::runtime_error on socket errors (port in use, bad host).
+  /// std::invalid_argument, before binding, for a zero batch_max (the
+  /// dispatcher would take no request per batch, so shutdown() could never
+  /// drain) or a zero queue_capacity (every run request would be
+  /// rejected), and std::runtime_error on socket errors (port in use, bad
+  /// host).
   void start();
 
   /// The bound port (after start()); meaningful with config.port == 0.

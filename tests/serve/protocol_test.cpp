@@ -56,6 +56,27 @@ TEST(Protocol, UnknownParamKeyIsRejected) {
       RequestError);
 }
 
+TEST(Protocol, PoolSizeIsCappedInMachineDays) {
+  // Each field within its own cap, but together 1024 x 32 machine-days:
+  // a ~22.6 GB trace pool for one request.
+  EXPECT_THROW((void)parse_request(R"({"id": 1, "op": "run", "params": )"
+                                   R"({"machines": 1024, "days": 32}})"),
+               RequestError);
+  // The default days (1) put 1024 machines past the cap too.
+  EXPECT_THROW((void)parse_request(
+                   R"({"id": 2, "op": "run", "params": {"machines": 1024}})"),
+               RequestError);
+  // At the cap, and a long trace over few machines, are admitted.
+  EXPECT_EQ(parse_request(R"({"id": 3, "op": "run", "params": )"
+                          R"({"machines": 256, "days": 1}})")
+                .scenario.machines,
+            256u);
+  EXPECT_DOUBLE_EQ(parse_request(R"({"id": 4, "op": "run", "params": )"
+                                 R"({"machines": 8, "days": 32}})")
+                       .scenario.days,
+                   32.0);
+}
+
 TEST(Protocol, ConfigDigestIgnoresSeedAndSeparatesConfigs) {
   ScenarioRequest a;
   ScenarioRequest b;

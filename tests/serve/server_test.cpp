@@ -11,6 +11,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -116,6 +117,19 @@ TEST(Server, StartsOnEphemeralPortAndShutsDownCleanly) {
   EXPECT_GT(server.port(), 0);
   server.shutdown();
   server.shutdown();  // idempotent
+}
+
+TEST(Server, StartRefusesZeroBatchAndQueueBounds) {
+  // batch_max = 0 had the dispatcher take no request per batch forever, so
+  // shutdown() never drained; queue_capacity = 0 rejected every run.
+  ServerConfig zero_batch;
+  zero_batch.batch_max = 0;
+  Server a(zero_batch);
+  EXPECT_THROW(a.start(), std::invalid_argument);
+  ServerConfig zero_queue;
+  zero_queue.queue_capacity = 0;
+  Server b(zero_queue);
+  EXPECT_THROW(b.start(), std::invalid_argument);
 }
 
 TEST(Server, AnswersPingAndStats) {
