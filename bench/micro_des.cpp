@@ -9,12 +9,13 @@
 ///    constant). This is a fire-dominated mix: about 1 schedule in 5 is
 ///    cancelled. It measures raw push/pop cost at scale. The events/s
 ///    column counts fires.
-///  * Reschedule churn, the mix the cluster engines actually present. They
-///    re-rate every running guest job at each 2-s owner-activity sample, so
-///    each sample cancels and re-arms every job's far-future completion
-///    event, and only ~1% of scheduled events fire (perfbench measures
-///    0.5-1.1%). A few re-arms belong to jobs starved by a busy owner and
-///    land ~10^5 s out. Left queued, those dead outliers stretch the time
+///  * Reschedule churn, the mix the cluster engines presented before they
+///    armed only completions that land by the next sample: each 2-s
+///    owner-activity sample cancelled and re-armed every running job's
+///    far-future completion event, and only ~1% of scheduled events fired
+///    (perfbench measured 0.5-1.1%). It stays as the guard for cancel-time
+///    compaction, which any reschedule-heavy caller relies on. A few
+///    re-arms belong to jobs starved by a busy owner and land ~10^5 s out. Left queued, those dead outliers stretch the time
 ///    span the calendar sizes its day width from, until the near-term days
 ///    hold thousands of dead entries each and every pop scans them. The
 ///    events/s column counts scheduled events, each of which later fires

@@ -371,8 +371,9 @@ struct ClusterSim::Impl {
     if (r.rate <= 0.0) return;
     // Event-sparse: the next tick re-rates every executing guest, so a
     // completion due after it could only be cancelled there. Arm only one
-    // that lands at or before the tick (on a tie it was armed first, so it
-    // fires first); otherwise the tick integrates the job and decides again.
+    // that lands at or before the tick (on a tie one armed inside a tick's
+    // loop precedes the next tick in (time, id) order and fires first);
+    // otherwise the tick integrates the job and decides again.
     const double at = now() + job.remaining / r.rate;
     if (!(at <= next_tick_time())) return;
     r.completion_event = sim.schedule_at(

@@ -247,8 +247,8 @@ void ShardedClusterSim::arm_completion(Shard& sh, std::size_t i, double t) {
   if (!(rate > 1e-12)) return;
   // Event-sparse: the shard's next tick re-arms every node, so a completion
   // due after it could only be cancelled there. Arm only one that lands at
-  // or before that tick; otherwise the tick integrates the job and decides
-  // again.
+  // or before that tick (on a tie one armed inside a tick's loop fires
+  // first); otherwise the tick integrates the job and decides again.
   const double at = t + job.remaining / rate;
   if (!(at <= sh.next_tick)) return;
   Shard* shp = &sh;

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace ll::fault {
 namespace {
@@ -108,16 +109,18 @@ TEST(FaultSpec, ValidateCapsExpectedArrivalsPerCategory) {
   ok.crash.arrivals = ArrivalProcess::exponential(at_cap);
   EXPECT_NO_THROW(ok.validate());
 
-  for (const char* category : {"crash", "storm", "pressure"}) {
-    FaultSpec spec;
-    ArrivalProcess& arrivals = std::string(category) == "crash"
-                                   ? spec.crash.arrivals
-                                   : std::string(category) == "storm"
-                                         ? spec.storm.arrivals
-                                         : spec.pressure.arrivals;
-    arrivals = ArrivalProcess::exponential(4e4);  // llsim faults --mtbf=1e-4
+  // 4e4 arrivals per second: llsim faults --mtbf=1e-4 on 4 nodes.
+  FaultSpec crash;
+  crash.crash.arrivals = ArrivalProcess::exponential(4e4);
+  FaultSpec storm;
+  storm.storm.arrivals = ArrivalProcess::exponential(4e4);
+  FaultSpec pressure;
+  pressure.pressure.arrivals = ArrivalProcess::exponential(4e4);
+  for (const auto& [category, spec] :
+       {std::pair{"crash", &crash}, std::pair{"storm", &storm},
+        std::pair{"pressure", &pressure}}) {
     try {
-      spec.validate();
+      spec->validate();
       FAIL() << category << ": expected invalid_argument";
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find(std::string(category) +

@@ -189,7 +189,7 @@ TEST(ShardedSim, ClosedRunIsShardCountInvariant) {
 TEST(ShardedSim, ArmsOnlyCompletionsThatCanFire) {
   // Each shard's tick re-arms every node of the shard, so a completion is
   // armed only when it lands by that shard's next tick. Three shards split
-  // 64 nodes unevenly, so the shards' arming is checked apart.
+  // the 64 nodes unevenly (22, 22 and 20).
   const auto pool = test_support::synthetic_pool(8, 7);
   cluster::ExperimentConfig cfg;
   cfg.cluster.node_count = 64;
