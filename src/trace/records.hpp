@@ -74,6 +74,7 @@ class CoarseTrace {
   }
 
   void push(CoarseSample sample) { samples_.push_back(sample); }
+  void reserve(std::size_t samples) { samples_.reserve(samples); }
 
   [[nodiscard]] double period() const { return period_; }
   [[nodiscard]] const std::vector<CoarseSample>& samples() const {
