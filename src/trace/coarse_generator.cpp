@@ -48,11 +48,10 @@ CoarseTrace generate_coarse_trace(const CoarseGenConfig& cfg,
   CoarseTrace trace(cfg.period);
   const auto samples =
       static_cast<std::size_t>(std::floor(cfg.duration / cfg.period));
-  // One allocation at the final size. Grown by doubling, every trace left
-  // freed blocks of 2^k samples behind and ended in a block up to twice its
-  // size; a long-lived pool cache (serve) then recycled mixed-size holes,
-  // and its peak RSS moved by over 10 MiB between identical runs. Blocks
-  // of one size are reused exactly as pools are evicted and rebuilt.
+  // One allocation at the final size. A long-lived pool cache (serve)
+  // evicts and rebuilds traces, and blocks of one size are reused exactly;
+  // doubling growth leaves holes of mixed sizes, and how much of them stays
+  // resident varies run to run (over 10 MiB of peak RSS in a served mix).
   trace.reserve(samples);
 
   // User state machine.

@@ -22,16 +22,8 @@ TEST(CoarseGenerator, ProducesRequestedLength) {
   cfg.duration = 3600.0;
   const CoarseTrace t = generate_coarse_trace(cfg, rng::Stream(1));
   EXPECT_EQ(t.size(), 1800u);
+  EXPECT_EQ(t.samples().capacity(), t.size());  // one exact-size block
   EXPECT_DOUBLE_EQ(t.period(), 2.0);
-}
-
-TEST(CoarseGenerator, AllocatesSamplesAtFinalSize) {
-  // 10,800 samples: a doubling vector would end at 16,384.
-  CoarseGenConfig cfg;
-  cfg.duration = 6.0 * 3600.0;
-  const CoarseTrace t = generate_coarse_trace(cfg, rng::Stream(1));
-  EXPECT_EQ(t.size(), 10800u);
-  EXPECT_EQ(t.samples().capacity(), t.size());
 }
 
 TEST(CoarseGenerator, RejectsNegativeOrNonFiniteDuration) {
