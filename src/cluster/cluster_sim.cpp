@@ -1117,32 +1117,23 @@ PoolDerived derive_pool(std::span<const trace::CoarseTrace> pool,
   }
   PoolDerived out;
   out.period = pool.front().period();
-  // Checked in a loop of its own: with these throws inside the summing
-  // loop below, GCC -O2 keeps the running sum in memory, and the pass (a
-  // large share of a run's set-up on big pools) runs measurably slower.
   for (const auto& t : pool) {
     if (t.empty()) throw std::invalid_argument("cluster: empty trace in pool");
     if (t.period() != out.period) {
       throw std::invalid_argument("cluster: traces must share one period");
     }
   }
+  // One pass per trace: its flags and its idle samples' CPU together.
   out.idle_flags.reserve(pool.size());
-  double idle_cpu_sum = 0.0;
-  std::size_t idle_cpu_count = 0;
+  trace::IdleCpu idle_cpu;
   for (const auto& t : pool) {
-    const auto& flags =
-        out.idle_flags.emplace_back(trace::idle_flags(t, config.recruitment));
-    for (std::size_t i = 0; i < flags.size(); ++i) {
-      if (flags[i]) {
-        idle_cpu_sum += t.samples()[i].cpu;
-        ++idle_cpu_count;
-      }
-    }
+    out.idle_flags.push_back(
+        trace::idle_flags(t, config.recruitment, idle_cpu));
   }
   if (config.idle_utilization_estimate >= 0.0) {
     out.idle_utilization = config.idle_utilization_estimate;
-  } else if (idle_cpu_count > 0) {
-    out.idle_utilization = idle_cpu_sum / static_cast<double>(idle_cpu_count);
+  } else if (idle_cpu.count > 0) {
+    out.idle_utilization = idle_cpu.sum / static_cast<double>(idle_cpu.count);
   }
   return out;
 }

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <stdexcept>
+#include <utility>
 
 #include "rng/distributions.hpp"
+#include "util/runner.hpp"
 
 namespace ll::trace {
 namespace {
@@ -31,28 +34,42 @@ double sample_normal(rng::Stream& s) {
   return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
 }
 
-}  // namespace
+/// Samples in a trace of `cfg.duration` seconds at `cfg.period` seconds each.
+std::size_t sample_count(const CoarseGenConfig& cfg) {
+  return static_cast<std::size_t>(std::floor(cfg.duration / cfg.period));
+}
 
-CoarseTrace generate_coarse_trace(const CoarseGenConfig& cfg,
-                                  rng::Stream stream) {
+/// An empty trace with room for exactly the samples `cfg` asks for. The
+/// duration is checked first, then the period (by CoarseTrace's
+/// constructor), and only then is floor(duration / period) taken.
+CoarseTrace reserved_trace(const CoarseGenConfig& cfg) {
   if (!std::isfinite(cfg.duration) || cfg.duration < 0.0) {
     throw std::invalid_argument(
         "generate_coarse_trace: duration must be finite and >= 0");
   }
+  CoarseTrace trace(cfg.period);
+  // One allocation at the final size. A long-lived pool cache (serve)
+  // evicts and rebuilds traces, and blocks of one size are reused exactly;
+  // doubling growth leaves holes of mixed sizes, and how much of them stays
+  // resident varies run to run (over 10 MiB of peak RSS in a served mix).
+  trace.reserve(sample_count(cfg));
+  return trace;
+}
+
+/// Appends the samples of one machine, drawn from `stream`, to a trace from
+/// reserved_trace(cfg). Allocates nothing, so it may run on any thread.
+void fill(const CoarseGenConfig& cfg, rng::Stream stream, CoarseTrace& trace) {
   rng::Stream sessions = stream.fork("sessions");
   rng::Stream typing = stream.fork("typing");
   rng::Stream cpu = stream.fork("cpu");
   rng::Stream episodes = stream.fork("episodes");
   rng::Stream memory = stream.fork("memory");
 
-  CoarseTrace trace(cfg.period);
-  const auto samples =
-      static_cast<std::size_t>(std::floor(cfg.duration / cfg.period));
-  // One allocation at the final size. A long-lived pool cache (serve)
-  // evicts and rebuilds traces, and blocks of one size are reused exactly;
-  // doubling growth leaves holes of mixed sizes, and how much of them stays
-  // resident varies run to run (over 10 MiB of peak RSS in a served mix).
-  trace.reserve(samples);
+  // Per-sample probability that a compute episode starts.
+  const double p_episode_active =
+      1.0 - std::exp(-cfg.episode_rate_active * cfg.period);
+  const double p_episode_away =
+      1.0 - std::exp(-cfg.episode_rate_away * cfg.period);
 
   // User state machine.
   UserState user = UserState::Away;
@@ -71,6 +88,7 @@ CoarseTrace generate_coarse_trace(const CoarseGenConfig& cfg,
   double mem_base = memory.uniform(cfg.mem_base_away_lo, cfg.mem_base_away_hi);
   double mem_walk = 0.0;
 
+  const std::size_t samples = sample_count(cfg);
   for (std::size_t i = 0; i < samples; ++i) {
     const double t = static_cast<double>(i) * cfg.period;
 
@@ -108,9 +126,9 @@ CoarseTrace generate_coarse_trace(const CoarseGenConfig& cfg,
 
     // --- compute episodes ---
     if (episode_remaining <= 0.0) {
-      const double rate = user == UserState::Active ? cfg.episode_rate_active
-                                                    : cfg.episode_rate_away;
-      if (episodes.uniform01() < 1.0 - std::exp(-rate * cfg.period)) {
+      const double p =
+          user == UserState::Active ? p_episode_active : p_episode_away;
+      if (episodes.uniform01() < p) {
         episode_remaining = sample_exp(episodes, cfg.episode_mean);
         episode_cpu = episodes.uniform(cfg.episode_cpu_lo, cfg.episode_cpu_hi);
         episode_mem = episodes.uniform(cfg.mem_episode_lo, cfg.mem_episode_hi);
@@ -143,17 +161,41 @@ CoarseTrace generate_coarse_trace(const CoarseGenConfig& cfg,
 
     trace.push(CoarseSample{util, free_kb, keyboard});
   }
+}
+
+}  // namespace
+
+CoarseTrace generate_coarse_trace(const CoarseGenConfig& cfg,
+                                  rng::Stream stream) {
+  CoarseTrace trace = reserved_trace(cfg);
+  fill(cfg, std::move(stream), trace);
   return trace;
 }
 
 std::vector<CoarseTrace> generate_machine_pool(const CoarseGenConfig& config,
                                                std::size_t machines,
                                                const rng::Stream& master) {
+  // Every buffer is allocated here, on the calling thread, and the fill
+  // tasks only write into them. Traces allocated by the runner's workers
+  // would spread over glibc's per-thread arenas and raise peak RSS in a
+  // long-lived pool cache (DESIGN.md §6).
   std::vector<CoarseTrace> pool;
   pool.reserve(machines);
   for (std::size_t m = 0; m < machines; ++m) {
-    pool.push_back(generate_coarse_trace(config, master.fork("machine", m)));
+    pool.push_back(reserved_trace(config));
   }
+  // One task per machine. Each draws from its own pure fork of `master`
+  // and writes only its own trace, so the pool is the same on any number
+  // of threads. Safe inside another task of the shared runner: a caller
+  // waiting in run() drains only its own batch.
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(machines);
+  for (std::size_t m = 0; m < machines; ++m) {
+    tasks.emplace_back([&config, &master, &trace = pool[m], m] {
+      fill(config, master.fork("machine", m), trace);
+    });
+  }
+  util::TaskRunner::shared().run(std::move(tasks));
   return pool;
 }
 

@@ -85,13 +85,18 @@ struct CoarseGenConfig {
 };
 
 /// Generates one machine trace. Deterministic in (config, stream). Throws
-/// std::invalid_argument when the duration is negative or not finite.
+/// std::invalid_argument when the duration is negative or not finite, or
+/// the period is not > 0.
 [[nodiscard]] CoarseTrace generate_coarse_trace(const CoarseGenConfig& config,
                                                 rng::Stream stream);
 
-/// Generates a pool of machine traces (forked sub-streams per machine), as
-/// the cluster simulator expects — it assigns each simulated node a random
-/// trace and a random starting offset, mirroring the paper's methodology.
+/// Generates a pool of machine traces, as the cluster simulator expects —
+/// it assigns each simulated node a random trace and a random starting
+/// offset, mirroring the paper's methodology. Entry m is exactly
+/// generate_coarse_trace(config, master.fork("machine", m)). The traces are
+/// allocated on the calling thread and filled as one batch on
+/// util::TaskRunner::shared(), one task per machine; the call may itself
+/// run inside a task of that runner. Throws like generate_coarse_trace.
 [[nodiscard]] std::vector<CoarseTrace> generate_machine_pool(
     const CoarseGenConfig& config, std::size_t machines,
     const rng::Stream& master);

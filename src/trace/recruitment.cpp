@@ -27,6 +27,12 @@ std::vector<double> episode_lengths(const CoarseTrace& trace,
 
 std::vector<bool> idle_flags(const CoarseTrace& trace,
                              const RecruitmentRule& rule) {
+  IdleCpu unused;
+  return idle_flags(trace, rule, unused);
+}
+
+std::vector<bool> idle_flags(const CoarseTrace& trace,
+                             const RecruitmentRule& rule, IdleCpu& idle_cpu) {
   const auto& samples = trace.samples();
   std::vector<bool> flags(samples.size(), false);
   if (samples.empty()) return flags;
@@ -35,12 +41,22 @@ std::vector<bool> idle_flags(const CoarseTrace& trace,
   const auto needed = static_cast<std::size_t>(
       std::max(1.0, std::ceil(rule.quiet_seconds / trace.period())));
 
+  // Accumulated in locals: behind the reference, the sum could alias a
+  // sample's cpu and the count a word of `flags`, which would keep both in
+  // memory through the loop.
+  double sum = idle_cpu.sum;
+  std::size_t count = idle_cpu.count;
   std::size_t quiet_run = 0;
   for (std::size_t i = 0; i < samples.size(); ++i) {
-    const bool quiet = samples[i].cpu < rule.cpu_threshold && !samples[i].keyboard;
-    quiet_run = quiet ? quiet_run + 1 : 0;
-    flags[i] = quiet_run >= needed;
+    const CoarseSample& s = samples[i];
+    quiet_run = s.cpu < rule.cpu_threshold && !s.keyboard ? quiet_run + 1 : 0;
+    if (quiet_run >= needed) {
+      flags[i] = true;
+      sum += s.cpu;
+      ++count;
+    }
   }
+  idle_cpu = {sum, count};
   return flags;
 }
 

@@ -8,6 +8,7 @@
 /// full quiet minute, and becomes non-idle immediately on keyboard activity
 /// or a CPU spike.
 
+#include <cstddef>
 #include <vector>
 
 #include "trace/records.hpp"
@@ -28,6 +29,20 @@ struct RecruitmentRule {
 /// window; otherwise they are non-idle (conservative).
 [[nodiscard]] std::vector<bool> idle_flags(const CoarseTrace& trace,
                                            const RecruitmentRule& rule = {});
+
+/// CPU utilization of idle samples, accumulated across calls: `sum` adds
+/// each idle sample's cpu in the order the samples are visited.
+struct IdleCpu {
+  double sum = 0.0;
+  std::size_t count = 0;
+};
+
+/// idle_flags, and in the same pass adds every idle sample of `trace` to
+/// `idle_cpu`, in sample order. The cluster engines derive a whole pool this
+/// way, one pass per trace.
+[[nodiscard]] std::vector<bool> idle_flags(const CoarseTrace& trace,
+                                           const RecruitmentRule& rule,
+                                           IdleCpu& idle_cpu);
 
 /// Fraction of samples flagged idle.
 [[nodiscard]] double idle_fraction(const CoarseTrace& trace,

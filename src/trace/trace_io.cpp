@@ -1,5 +1,6 @@
 #include "trace/trace_io.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -17,6 +18,23 @@ std::ifstream open_in(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot open for reading: " + path);
   return in;
+}
+
+/// Shortest sample period a coarse trace file may declare. A cluster run
+/// re-rates every node once per sample, so a period of 1e-300 s would keep
+/// it ticking without end.
+constexpr double kMinPeriod = 1e-3;
+
+/// The header's period: the whole token must be one finite number of at
+/// least kMinPeriod seconds.
+double parse_period(const std::string& token) {
+  std::istringstream in(token);
+  double period = 0.0;
+  if (!(in >> period) || !(in >> std::ws).eof() || !std::isfinite(period) ||
+      period < kMinPeriod) {
+    throw std::runtime_error("coarse trace: bad period '" + token + "'");
+  }
+  return period;
 }
 
 }  // namespace
@@ -42,8 +60,7 @@ CoarseTrace load_coarse(std::istream& in) {
   if (header.rfind(magic, 0) != 0) {
     throw std::runtime_error("coarse trace: bad header '" + header + "'");
   }
-  const double period = std::stod(header.substr(magic.size()));
-  CoarseTrace trace(period);
+  CoarseTrace trace(parse_period(header.substr(magic.size())));
   std::string line;
   std::size_t line_no = 1;
   while (std::getline(in, line)) {

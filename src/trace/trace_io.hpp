@@ -8,6 +8,8 @@
 ///
 /// Coarse:  "# ll-coarse-trace v1 period=<seconds>"
 ///          one line per sample: "<cpu> <mem_free_kb> <kb 0|1>"
+///          (load_coarse refuses a period that is not one finite number of
+///          at least 1 ms)
 /// Fine:    "# ll-fine-trace v1"
 ///          one line per burst: "<R|I> <duration-seconds>"
 

@@ -209,6 +209,26 @@ TEST_F(CliTest, ClusterUsesTraceDirectory) {
   EXPECT_NE(r.out.find("LF"), std::string::npos);
 }
 
+TEST_F(CliTest, ClusterRefusesTinyTracePeriodPromptly) {
+  // A run replaying a 1e-300 s period used to tick without end.
+  fs::create_directories(path("pool"));
+  {
+    std::ofstream file(path("pool") + "/machine0.coarse");
+    file << "# ll-coarse-trace v1 period=1e-300\n";
+    for (int i = 0; i < 100; ++i) file << "0.05 30000 0\n";
+  }
+  const auto start = std::chrono::steady_clock::now();
+  const CliResult r =
+      run({"cluster", "--nodes=4", "--jobs=4", "--demand=60",
+           "--traces=" + path("pool")});
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("coarse trace: bad period '1e-300'"), std::string::npos)
+      << r.err;
+  EXPECT_LT(took.count(), 1.0);
+}
+
 TEST_F(CliTest, ClusterAcceptsCustomBurstTable) {
   workload::save_table(workload::default_burst_table(), path("t.bursts"));
   const CliResult r =

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <functional>
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "trace/coarse_analysis.hpp"
 #include "trace/recruitment.hpp"
+#include "util/runner.hpp"
 
 namespace ll::trace {
 namespace {
@@ -35,9 +40,80 @@ TEST(CoarseGenerator, RejectsNegativeOrNonFiniteDuration) {
     EXPECT_THROW((void)generate_coarse_trace(cfg, rng::Stream(1)),
                  std::invalid_argument)
         << bad;
+    EXPECT_THROW((void)generate_machine_pool(cfg, 4, rng::Stream(1)),
+                 std::invalid_argument)
+        << bad;
   }
   cfg.duration = 0.0;  // an empty trace is still a valid request
   EXPECT_EQ(generate_coarse_trace(cfg, rng::Stream(1)).size(), 0u);
+}
+
+TEST(CoarseGenerator, RejectsNonPositivePeriod) {
+  CoarseGenConfig cfg;
+  cfg.duration = 3600.0;
+  for (const double bad :
+       {0.0, -2.0, std::numeric_limits<double>::quiet_NaN()}) {
+    cfg.period = bad;
+    EXPECT_THROW((void)generate_coarse_trace(cfg, rng::Stream(1)),
+                 std::invalid_argument)
+        << bad;
+    EXPECT_THROW((void)generate_machine_pool(cfg, 4, rng::Stream(1)),
+                 std::invalid_argument)
+        << bad;
+  }
+}
+
+/// Asserts that two traces hold the same samples, bit for bit.
+void expect_same_samples(const CoarseTrace& got, const CoarseTrace& want) {
+  EXPECT_EQ(got.period(), want.period());
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const CoarseSample& g = got.samples()[i];
+    const CoarseSample& w = want.samples()[i];
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(g.cpu),
+              std::bit_cast<std::uint64_t>(w.cpu))
+        << "sample " << i;
+    ASSERT_EQ(g.mem_free_kb, w.mem_free_kb) << "sample " << i;
+    ASSERT_EQ(g.keyboard, w.keyboard) << "sample " << i;
+  }
+}
+
+TEST(CoarseGenerator, MachinePoolEntryIsThatMachinesTrace) {
+  CoarseGenConfig cfg;
+  cfg.duration = 6.0 * 3600.0;
+  cfg.start_hour = 9.0;
+  const rng::Stream master(2024);
+  const auto pool = generate_machine_pool(cfg, 16, master);
+  ASSERT_EQ(pool.size(), 16u);
+  for (std::size_t m = 0; m < pool.size(); ++m) {
+    SCOPED_TRACE(m);
+    expect_same_samples(pool[m],
+                        generate_coarse_trace(cfg, master.fork("machine", m)));
+    EXPECT_EQ(pool[m].samples().capacity(), pool[m].size());
+  }
+}
+
+TEST(CoarseGenerator, PoolBuildsNestInSharedRunnerTasks) {
+  // Pool builds already run inside tasks of the shared runner (llsim serve
+  // dispatches there), and the build fills its traces on that same runner.
+  CoarseGenConfig cfg;
+  cfg.duration = 3600.0;
+  std::vector<std::vector<CoarseTrace>> nested(4);
+  std::vector<std::function<void()>> tasks;
+  for (std::size_t k = 0; k < nested.size(); ++k) {
+    tasks.emplace_back([&cfg, &nested, k] {
+      nested[k] = generate_machine_pool(cfg, 8, rng::Stream(k));
+    });
+  }
+  util::TaskRunner::shared().run(std::move(tasks));
+  for (std::size_t k = 0; k < nested.size(); ++k) {
+    const auto direct = generate_machine_pool(cfg, 8, rng::Stream(k));
+    ASSERT_EQ(nested[k].size(), direct.size());
+    for (std::size_t m = 0; m < direct.size(); ++m) {
+      SCOPED_TRACE(m);
+      expect_same_samples(nested[k][m], direct[m]);
+    }
+  }
 }
 
 TEST(CoarseGenerator, DeterministicInSeed) {

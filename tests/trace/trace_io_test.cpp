@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string>
 
 #include "trace/coarse_generator.hpp"
 
@@ -62,6 +63,29 @@ TEST(CoarseIo, SkipsCommentsAndBlankLines) {
 TEST(CoarseIo, RejectsBadHeader) {
   std::stringstream buf("not a trace\n0.5 1000 1\n");
   EXPECT_THROW((void)(load_coarse(buf)), std::runtime_error);
+}
+
+TEST(CoarseIo, RejectsBadPeriod) {
+  // 1e-300 used to stall a cluster run that replayed the trace, inf failed
+  // inside the event engine, and abc surfaced as a bare "stod".
+  for (const std::string bad :
+       {"1e-300", "inf", "abc", "2abc", "nan", "1e-400", "0", "-2", ""}) {
+    std::stringstream buf("# ll-coarse-trace v1 period=" + bad +
+                          "\n0.5 1000 1\n");
+    try {
+      (void)load_coarse(buf);
+      ADD_FAILURE() << "accepted period '" << bad << "'";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "coarse trace: bad period '" + bad + "'");
+    }
+  }
+  // The 1 ms floor itself, and a header ending in CRLF, still load.
+  for (const std::string good : {"0.001", "2\r"}) {
+    std::stringstream buf("# ll-coarse-trace v1 period=" + good +
+                          "\n0.5 1000 1\n");
+    EXPECT_EQ(load_coarse(buf).size(), 1u) << good;
+  }
 }
 
 TEST(CoarseIo, RejectsEmptyInput) {
