@@ -1082,7 +1082,8 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out) {
   flags.parse(static_cast<int>(argv.size()), argv.data());
   // Values the server would narrow or could never honour: an out-of-range
   // port wraps to another one, a zero batch bound never dispatches (and so
-  // never drains on shutdown), a zero queue rejects every request.
+  // never drains on shutdown), a zero queue rejects every request, a zero
+  // cache keeps no result.
   if (*port < 0 || *port > 65535) {
     throw std::invalid_argument("serve: --port must be in [0, 65535]");
   }
@@ -1096,6 +1097,9 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out) {
   }
   if (*queue_depth == 0) {
     throw std::invalid_argument("serve: --queue-depth must be >= 1");
+  }
+  if (*cache_entries == 0) {
+    throw std::invalid_argument("serve: --cache-entries must be >= 1");
   }
 
   std::unique_ptr<util::TaskRunner> own_runner;

@@ -671,11 +671,6 @@ struct ClusterSim::Impl {
     placement();
   }
 
-  [[nodiscard]] bool migration_slot_available() const {
-    return cfg.max_concurrent_migrations == 0 ||
-           inflight_migrations < cfg.max_concurrent_migrations;
-  }
-
   /// Best node with a free slot, or nullopt. Preference order: emptier
   /// first (spread before sharing), then lower utilization, then index.
   /// This is THE placement scan: a straight pass over four SoA arrays,
@@ -738,7 +733,7 @@ struct ClusterSim::Impl {
 
   void placement_pass() {
     // 1. Displaced (suspended) jobs migrate as soon as idle targets exist.
-    while (!displaced.empty() && migration_slot_available()) {
+    while (!displaced.empty()) {
       const auto target = best_free_node(/*want_idle=*/true);
       if (!target) break;
       const JobId id = displaced.front();
@@ -777,7 +772,6 @@ struct ClusterSim::Impl {
         return a < b;
       });
       for (JobId id : movers) {
-        if (!migration_slot_available()) break;
         const auto target = best_free_node(/*want_idle=*/true);
         if (!target) break;
         start_migration(id, *target);
@@ -1111,7 +1105,7 @@ struct ClusterSim::Impl {
 };
 
 PoolDerived derive_pool(std::span<const trace::CoarseTrace> pool,
-                        const ClusterConfig& config) {
+                        const trace::RecruitmentRule& rule) {
   if (pool.empty()) {
     throw std::invalid_argument("cluster: empty trace pool");
   }
@@ -1127,12 +1121,9 @@ PoolDerived derive_pool(std::span<const trace::CoarseTrace> pool,
   out.idle_flags.reserve(pool.size());
   trace::IdleCpu idle_cpu;
   for (const auto& t : pool) {
-    out.idle_flags.push_back(
-        trace::idle_flags(t, config.recruitment, idle_cpu));
+    out.idle_flags.push_back(trace::idle_flags(t, rule, idle_cpu));
   }
-  if (config.idle_utilization_estimate >= 0.0) {
-    out.idle_utilization = config.idle_utilization_estimate;
-  } else if (idle_cpu.count > 0) {
+  if (idle_cpu.count > 0) {
     out.idle_utilization = idle_cpu.sum / static_cast<double>(idle_cpu.count);
   }
   return out;
@@ -1177,7 +1168,7 @@ ClusterSim::ClusterSim(ClusterConfig config,
   }
   im.cfg.checkpoint.validate();
   im.cfg.faults.validate();
-  PoolDerived derived = derive_pool(pool, im.cfg);
+  PoolDerived derived = derive_pool(pool, im.cfg.recruitment);
   im.period = derived.period;
   im.flag_cache = std::move(derived.idle_flags);
   idle_util_ = derived.idle_utilization;

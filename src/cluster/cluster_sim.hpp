@@ -64,17 +64,11 @@ struct ClusterConfig {
   std::uint64_t job_bytes = 8ull << 20;
   /// Foreign job resident working set, for the page-priority model.
   std::uint32_t job_mem_kb = 8192;
-  /// Destination-utilization estimate "l" for the linger cost model.
-  /// Negative => measure it from the trace pool (mean CPU over idle windows).
-  double idle_utilization_estimate = -1.0;
   /// Foreign jobs allowed to share one node. The paper fixes this at 1 (the
   /// free-memory headroom fits "one compute-bound foreign job of moderate
   /// size"); co-resident jobs processor-share the leftover rate and compete
   /// for the donated page pool (abl_multi_occupancy).
   std::size_t max_foreign_per_node = 1;
-  /// Cap on simultaneous in-flight migrations; 0 = unlimited (the effective
-  /// bandwidth already reflects the paper's network-load throttling).
-  std::size_t max_concurrent_migrations = 0;
   /// One-time owner-side cost (seconds of owner work) charged whenever a
   /// foreign job departs a node whose owner is active: the time to re-load
   /// the virtual-memory pages and caches the guest displaced. The paper's
@@ -105,16 +99,16 @@ struct PoolDerived {
   double period = 0.0;  ///< the sample period every trace shares
   /// Per pool entry: the recruitment rule's idle flag of each sample.
   std::vector<std::vector<bool>> idle_flags;
-  /// "l" for the linger cost model: the configured estimate when it is
-  /// >= 0, else the mean CPU over every idle sample in the pool (summed in
-  /// pool order), else 0.05 when no sample is idle.
+  /// "l" for the linger cost model: the mean CPU over every idle sample in
+  /// the pool (summed in pool order), or 0.05 when no sample is idle.
   double idle_utilization = 0.05;
 };
 
 /// Checks the pool (non-empty, no empty trace, one shared period; throws
-/// std::invalid_argument) and derives PoolDerived under `config`.
+/// std::invalid_argument) and derives PoolDerived under the recruitment
+/// `rule`.
 [[nodiscard]] PoolDerived derive_pool(std::span<const trace::CoarseTrace> pool,
-                                      const ClusterConfig& config);
+                                      const trace::RecruitmentRule& rule);
 
 /// The OracleLinger baseline's PolicyContext::episode_remaining: seconds of
 /// consecutive non-idle samples from sample `window` on (0 when it is idle),

@@ -1,8 +1,5 @@
 #include "exp/pool_cache.hpp"
 
-#include <algorithm>
-#include <utility>
-
 #include "rng/rng.hpp"
 
 namespace ll::exp {
@@ -10,108 +7,18 @@ namespace ll::exp {
 TracePoolCache::PoolPtr TracePoolCache::standard(std::size_t machines,
                                                  double hours,
                                                  std::uint64_t seed) {
-  return get_or_build(machines, hours, seed, [&] {
+  const auto build = [&] {
     trace::CoarseGenConfig gen;
     gen.duration = hours * 3600.0;
     gen.start_hour = hours < 24.0 ? 9.0 : 0.0;
     return trace::generate_machine_pool(gen, machines, rng::Stream(seed));
-  });
-}
-
-TracePoolCache::PoolPtr TracePoolCache::get_or_build(
-    std::size_t machines, double hours, std::uint64_t seed,
-    const std::function<Pool()>& build) {
-  const Key key{machines, hours, seed};
-  std::promise<PoolPtr> promise;
-  std::shared_future<PoolPtr> future;
-  bool builder = false;
-  {
-    std::scoped_lock lock(mu_);
-    auto it = cache_.find(key);
-    if (it != cache_.end()) {
-      // Hit — including an in-flight build: the waiter below blocks on the
-      // future without regenerating, which is the double-generation fix.
-      ++hits_;
-      it->second.last_use = ++tick_;
-      future = it->second.future;
-    } else {
-      ++builds_;
-      builder = true;
-      future = promise.get_future().share();
-      // Make room before inserting so the steady-state size stays bounded.
-      if (cache_.size() >= capacity_) evict_down_to_locked(capacity_ - 1);
-      cache_.emplace(key, Entry{future, ++tick_, /*ready=*/false});
-    }
-  }
-  if (!builder) return future.get();  // rethrows a failed build
-
-  try {
-    PoolPtr pool = std::make_shared<const Pool>(build());
-    promise.set_value(pool);
-    std::scoped_lock lock(mu_);
-    auto it = cache_.find(key);
-    if (it != cache_.end()) it->second.ready = true;
-    return pool;
-  } catch (...) {
-    // Propagate to every waiter, then drop the key so a later call retries
-    // instead of caching the failure forever.
-    promise.set_exception(std::current_exception());
-    std::scoped_lock lock(mu_);
-    cache_.erase(key);
-    throw;
-  }
-}
-
-void TracePoolCache::evict_down_to_locked(std::size_t limit) {
-  while (cache_.size() > limit) {
-    auto victim = cache_.end();
-    for (auto it = cache_.begin(); it != cache_.end(); ++it) {
-      if (!it->second.ready) continue;  // never evict an in-flight build
-      if (victim == cache_.end() ||
-          it->second.last_use < victim->second.last_use) {
-        victim = it;
-      }
-    }
-    if (victim == cache_.end()) return;  // everything is in flight
-    cache_.erase(victim);
-  }
-}
-
-std::size_t TracePoolCache::builds() const {
-  std::scoped_lock lock(mu_);
-  return builds_;
-}
-
-std::size_t TracePoolCache::hits() const {
-  std::scoped_lock lock(mu_);
-  return hits_;
-}
-
-std::size_t TracePoolCache::size() const {
-  std::scoped_lock lock(mu_);
-  return cache_.size();
-}
-
-void TracePoolCache::set_capacity(std::size_t capacity) {
-  std::scoped_lock lock(mu_);
-  capacity_ = std::max<std::size_t>(1, capacity);
-  evict_down_to_locked(capacity_);
-}
-
-std::size_t TracePoolCache::capacity() const {
-  std::scoped_lock lock(mu_);
-  return capacity_;
-}
-
-void TracePoolCache::clear() {
-  std::scoped_lock lock(mu_);
-  cache_.clear();
+  };
+  return cache_.get_or_build({machines, hours, seed}, build).value;
 }
 
 void TracePoolCache::export_metrics(obs::MetricRegistry& registry) const {
-  std::scoped_lock lock(mu_);
-  registry.counter("exp.pool_cache.builds").add(builds_);
-  registry.counter("exp.pool_cache.hits").add(hits_);
+  registry.counter("exp.pool_cache.builds").add(builds());
+  registry.counter("exp.pool_cache.hits").add(hits());
 }
 
 TracePoolCache& TracePoolCache::shared() {

@@ -11,28 +11,20 @@
 /// Cells hold the pool by shared_ptr-to-const: immutable, so sharing across
 /// runner threads is race-free.
 ///
-/// Single-flight: each key maps to a shared_future that is inserted before
-/// the build starts, so two threads missing on the same key concurrently
-/// never both generate the pool — the second waits on the first's future.
-/// Builds for *different* keys run in parallel (the cache-wide mutex covers
-/// only map bookkeeping, never a generation), which is what a long-running
-/// server needs: one slow pool must not serialize unrelated requests.
-///
-/// The cache is bounded: at most `capacity()` pools are retained, evicting
-/// the least-recently-used completed entry first, so a long-lived process
-/// cannot grow it without limit. Evicted pools stay alive for as long as
-/// any cell still holds the shared_ptr.
+/// It is a util::SingleFlightCache: concurrent misses on one key build the
+/// pool once, builds for different keys run in parallel, and at most
+/// kCapacity finished pools are kept, least recently used evicted first,
+/// so a long-lived process cannot grow it without limit.
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <future>
-#include <map>
 #include <memory>
-#include <mutex>
+#include <tuple>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "trace/coarse_generator.hpp"
+#include "util/single_flight_cache.hpp"
 
 namespace ll::exp {
 
@@ -47,28 +39,11 @@ class TracePoolCache {
   /// cover working hours, full days at midnight.
   PoolPtr standard(std::size_t machines, double hours, std::uint64_t seed);
 
-  /// Returns the cached pool for the key, building it via `build` exactly
-  /// once per key (subsequent calls, from any thread, hit the cache or wait
-  /// on the in-flight build). A throwing build propagates to every waiter
-  /// and leaves the key absent, so a later call retries.
-  PoolPtr get_or_build(std::size_t machines, double hours, std::uint64_t seed,
-                       const std::function<Pool()>& build);
-
-  [[nodiscard]] std::size_t builds() const;
-  [[nodiscard]] std::size_t hits() const;
-  [[nodiscard]] std::size_t size() const;
-
-  /// Bounds the number of retained pools (min 1; default kDefaultCapacity),
-  /// evicting least-recently-used completed entries immediately if needed.
-  /// In-flight builds are never evicted, so the cache may transiently hold
-  /// more than `capacity` entries while builds overlap.
-  void set_capacity(std::size_t capacity);
-  [[nodiscard]] std::size_t capacity() const;
-
-  static constexpr std::size_t kDefaultCapacity = 64;
+  [[nodiscard]] std::size_t builds() const { return cache_.builds(); }
+  [[nodiscard]] std::size_t hits() const { return cache_.hits(); }
 
   /// Drops every cached pool (tests; long-lived processes changing scale).
-  void clear();
+  void clear() { cache_.clear(); }
 
   /// Publishes exp.pool_cache.{builds,hits} counters into `registry`
   /// (absolute values at call time — call once, after the sweeps ran).
@@ -78,33 +53,12 @@ class TracePoolCache {
   static TracePoolCache& shared();
 
  private:
-  struct Key {
-    std::size_t machines;
-    double hours;
-    std::uint64_t seed;
-    bool operator<(const Key& o) const {
-      if (machines != o.machines) return machines < o.machines;
-      if (hours != o.hours) return hours < o.hours;
-      return seed < o.seed;
-    }
-  };
+  static constexpr std::size_t kCapacity = 64;
 
-  struct Entry {
-    std::shared_future<PoolPtr> future;
-    std::uint64_t last_use = 0;  ///< LRU clock tick of the last lookup
-    bool ready = false;          ///< build finished (evictable)
-  };
-
-  /// Evicts ready entries, oldest last_use first, until at most
-  /// `limit` entries remain (in-flight builds are skipped). Lock held.
-  void evict_down_to_locked(std::size_t limit);
-
-  mutable std::mutex mu_;
-  std::map<Key, Entry> cache_;
-  std::uint64_t tick_ = 0;
-  std::size_t capacity_ = kDefaultCapacity;
-  std::size_t builds_ = 0;
-  std::size_t hits_ = 0;
+  /// Keyed by (machines, hours, seed).
+  util::SingleFlightCache<std::tuple<std::size_t, double, std::uint64_t>,
+                          Pool>
+      cache_{kCapacity};
 };
 
 }  // namespace ll::exp

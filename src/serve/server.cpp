@@ -92,6 +92,9 @@ void Server::start() {
   if (config_.queue_capacity == 0) {
     throw std::invalid_argument("serve: queue_capacity must be >= 1");
   }
+  if (config_.cache_capacity == 0) {
+    throw std::invalid_argument("serve: cache_capacity must be >= 1");
+  }
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) throw std::runtime_error(sys_error("socket"));
   const int one = 1;
@@ -248,7 +251,7 @@ void Server::execute_batch(std::vector<Work>& batch) {
   // single-flight future (which could deadlock a small worker pool);
   // cross-batch duplicates hit the ready cache entry instead.
   struct Slot {
-    ResultCache::ValuePtr value;
+    std::shared_ptr<const std::string> value;
     bool hit = false;
     bool failed = false;
     std::string error;
@@ -273,11 +276,11 @@ void Server::execute_batch(std::vector<Work>& batch) {
     const ScenarioRequest scenario = work.scenario;
     const std::uint64_t digest = work.config_digest;
     util::TaskRunner* runner = runner_;
-    ResultCache* cache = &cache_;
+    auto* cache = &cache_;
     tasks.emplace_back([slot, scenario, digest, runner, cache] {
       try {
-        ResultCache::Outcome outcome = cache->get_or_build(
-            digest, scenario.seed, [&] { return scenario.run(runner); });
+        auto outcome = cache->get_or_build(
+            {digest, scenario.seed}, [&] { return scenario.run(runner); });
         slot->value = std::move(outcome.value);
         slot->hit = outcome.hit;
       } catch (const std::exception& e) {

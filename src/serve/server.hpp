@@ -13,9 +13,11 @@
 ///  * ONE dispatcher thread that drains the bounded admission queue in
 ///    batches of up to `batch_max`, deduplicates each batch by cache key,
 ///    executes the unique keys as one TaskRunner batch, and writes the
-///    responses. The dispatcher is the only thread touching the result
-///    cache and the latency recorder, which is what makes the
-///    single-writer MetricRegistry contract hold without locks.
+///    responses. The batch's runner tasks look their keys up in the
+///    result cache concurrently (its mutex makes that safe); the
+///    dispatcher is the only thread touching the latency recorder, which
+///    is what makes the single-writer MetricRegistry contract hold without
+///    locks.
 ///
 /// Admission control: the queue is bounded at `queue_capacity`. A full
 /// queue rejects immediately with {"status":"rejected",
@@ -37,12 +39,13 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/latency.hpp"
 #include "serve/protocol.hpp"
-#include "serve/result_cache.hpp"
 #include "util/runner.hpp"
+#include "util/single_flight_cache.hpp"
 
 namespace ll::obs {
 class MetricRegistry;
@@ -55,7 +58,7 @@ struct ServerConfig {
   int port = 0;  ///< 0 = ephemeral (read the bound port via Server::port())
   std::size_t queue_capacity = 256;  ///< admission queue bound
   std::size_t batch_max = 32;        ///< max requests per dispatcher batch
-  std::size_t cache_capacity = ResultCache::kDefaultCapacity;
+  std::size_t cache_capacity = 256;  ///< results kept (LRU beyond)
   std::size_t max_request_bytes = 1 << 16;  ///< line-framing bound
   int retry_after_ms = 25;  ///< backpressure hint on rejection
   /// Runner executing the simulations; nullptr = util::TaskRunner::shared().
@@ -88,9 +91,9 @@ class Server {
   /// Binds, listens and spawns the accept + dispatcher threads. Throws
   /// std::invalid_argument, before binding, for a zero batch_max (the
   /// dispatcher would take no request per batch, so shutdown() could never
-  /// drain) or a zero queue_capacity (every run request would be
-  /// rejected), and std::runtime_error on socket errors (port in use, bad
-  /// host).
+  /// drain), a zero queue_capacity (every run request would be rejected)
+  /// or a zero cache_capacity (no result would be kept), and
+  /// std::runtime_error on socket errors (port in use, bad host).
   void start();
 
   /// The bound port (after start()); meaningful with config.port == 0.
@@ -126,7 +129,12 @@ class Server {
 
   ServerConfig config_;
   util::TaskRunner* runner_ = nullptr;
-  ResultCache cache_;
+  /// Finished sweep JSON by (config digest, seed): the exact bytes
+  /// exp::to_json produced, so a hit is a pointer copy and every reply for
+  /// a key carries the same bytes.
+  util::SingleFlightCache<std::pair<std::uint64_t, std::uint64_t>,
+                          std::string>
+      cache_;
   int listen_fd_ = -1;
   int port_ = 0;
 

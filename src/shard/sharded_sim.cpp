@@ -96,7 +96,7 @@ ShardedClusterSim::ShardedClusterSim(cluster::ClusterConfig config,
     throw std::invalid_argument(
         "sharded sim: only max_foreign_per_node == 1 is modeled");
   }
-  cluster::PoolDerived derived = cluster::derive_pool(pool, cfg_);
+  cluster::PoolDerived derived = cluster::derive_pool(pool, cfg_.recruitment);
   period_ = derived.period;
   flag_cache_ = std::move(derived.idle_flags);
   idle_util_ = derived.idle_utilization;

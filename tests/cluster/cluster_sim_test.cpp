@@ -467,10 +467,6 @@ TEST(ClusterSim, IdleUtilizationMeasuredFromPool) {
   auto cfg = base_config(core::PolicyKind::LingerLonger, 1);
   ClusterSim sim(cfg, pool, table(), rng::Stream(16));
   EXPECT_NEAR(sim.idle_utilization(), 0.05, 1e-9);
-
-  cfg.idle_utilization_estimate = 0.12;
-  ClusterSim overridden(cfg, pool, table(), rng::Stream(16));
-  EXPECT_DOUBLE_EQ(overridden.idle_utilization(), 0.12);
 }
 
 TEST(ClusterSim, StateTimesSumToTurnaround) {

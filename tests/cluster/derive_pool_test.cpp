@@ -18,11 +18,11 @@ namespace ll::cluster {
 namespace {
 
 PoolDerived two_pass_reference(const std::vector<trace::CoarseTrace>& pool,
-                               const ClusterConfig& cfg) {
+                               const trace::RecruitmentRule& rule) {
   PoolDerived out;
   out.period = pool.front().period();
   for (const auto& t : pool) {
-    out.idle_flags.push_back(trace::idle_flags(t, cfg.recruitment));
+    out.idle_flags.push_back(trace::idle_flags(t, rule));
   }
   double sum = 0.0;
   std::size_t count = 0;
@@ -34,9 +34,7 @@ PoolDerived two_pass_reference(const std::vector<trace::CoarseTrace>& pool,
       }
     }
   }
-  if (cfg.idle_utilization_estimate >= 0.0) {
-    out.idle_utilization = cfg.idle_utilization_estimate;
-  } else if (count > 0) {
+  if (count > 0) {
     out.idle_utilization = sum / static_cast<double>(count);
   }
   return out;
@@ -64,14 +62,8 @@ TEST(DerivePool, EqualsTheTwoPassReferenceBitForBit) {
   auto pool = trace::generate_machine_pool(gen, 8, rng::Stream(1998));
   pool.push_back(constant_trace(10, 0.01, false));  // 20 s: under the window
   pool.push_back(constant_trace(500, 0.07, false));  // quiet throughout
-  ClusterConfig cfg;
-  expect_same(derive_pool(pool, cfg), two_pass_reference(pool, cfg));
-  for (const double estimate : {0.0, 0.2}) {
-    cfg.idle_utilization_estimate = estimate;
-    const PoolDerived got = derive_pool(pool, cfg);
-    expect_same(got, two_pass_reference(pool, cfg));
-    EXPECT_EQ(got.idle_utilization, estimate);
-  }
+  const trace::RecruitmentRule rule;
+  expect_same(derive_pool(pool, rule), two_pass_reference(pool, rule));
 }
 
 TEST(DerivePool, FallsBackWhenNoSampleIsIdle) {
@@ -79,9 +71,9 @@ TEST(DerivePool, FallsBackWhenNoSampleIsIdle) {
       constant_trace(10, 0.01, false),  // quiet, but under the window
       constant_trace(100, 0.5, false),  // busy
       constant_trace(100, 0.01, true)};  // typing
-  const ClusterConfig cfg;
-  const PoolDerived got = derive_pool(pool, cfg);
-  expect_same(got, two_pass_reference(pool, cfg));
+  const trace::RecruitmentRule rule;
+  const PoolDerived got = derive_pool(pool, rule);
+  expect_same(got, two_pass_reference(pool, rule));
   EXPECT_EQ(got.idle_utilization, 0.05);
 }
 

@@ -1,15 +1,13 @@
-/// Edge-path coverage for the cluster simulator: migration concurrency
-/// caps, repeated horizons, occupancy corner cases, and configuration
-/// combinations the mainline tests do not reach.
+/// Edge-path coverage for the cluster simulator: repeated horizons,
+/// occupancy corner cases, and configuration combinations the mainline
+/// tests do not reach.
 
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <string>
 
 #include "cluster/cluster_sim.hpp"
 #include "common/scenario_builders.hpp"
-#include "verify/digest.hpp"
 #include "verify/invariants.hpp"
 #include "workload/burst_table.hpp"
 
@@ -17,40 +15,6 @@ namespace ll::cluster {
 namespace {
 
 using namespace ll::test_support;
-
-TEST(ClusterEdge, MigrationConcurrencyCapSerializesMigrations) {
-  // Three nodes turn busy simultaneously; three idle targets exist. With
-  // the cap at 1, evictions must migrate one at a time.
-  std::vector<trace::CoarseTrace> pool;
-  for (int i = 0; i < 3; ++i) {
-    pool.push_back(pattern_trace(".." + std::string(400, 'B')));
-  }
-  for (int i = 0; i < 3; ++i) {
-    pool.push_back(pattern_trace(std::string(402, '.')));
-  }
-  auto run_with = [&](std::size_t cap) {
-    auto cfg = base_config(core::PolicyKind::ImmediateEviction, 6);
-    cfg.max_concurrent_migrations = cap;
-    ClusterSim sim(cfg, pool, table(), rng::Stream(1));
-    for (int i = 0; i < 3; ++i) sim.submit(120.0);
-    sim.run_until_all_complete();
-    double total_migrating = 0.0;
-    for (const JobRecord& job : sim.jobs()) {
-      total_migrating += job.time_in(JobState::Migrating);
-    }
-    // Paused time accumulates while jobs wait for a migration slot.
-    double total_paused = 0.0;
-    for (const JobRecord& job : sim.jobs()) {
-      total_paused += job.time_in(JobState::Paused);
-    }
-    EXPECT_EQ(sim.migrations_started(), 3u);
-    return total_paused;
-  };
-  const double paused_serial = run_with(1);
-  const double paused_parallel = run_with(0);  // unlimited
-  // Serialized migrations force later jobs to wait in Paused.
-  EXPECT_GT(paused_serial, paused_parallel + 3.0);
-}
 
 TEST(ClusterEdge, RepeatedRunForSegmentsAccumulate) {
   std::vector<trace::CoarseTrace> pool{pattern_trace(std::string(400, '.'))};
@@ -132,36 +96,6 @@ TEST(ClusterEdge, ZeroRestorePenaltyByDefault) {
   ClusterConfig cfg;
   EXPECT_DOUBLE_EQ(cfg.owner_restore_penalty, 0.0);
   EXPECT_EQ(cfg.max_foreign_per_node, 1u);
-  EXPECT_EQ(cfg.max_concurrent_migrations, 0u);
-}
-
-TEST(ClusterEdge, MigrationCapUnlimitedAndSizeMaxAreIdentical) {
-  // 0 means "unlimited"; a cap of SIZE_MAX can never bind either. The two
-  // runs must be event-for-event identical, not merely similar.
-  std::vector<trace::CoarseTrace> pool;
-  for (int i = 0; i < 3; ++i) {
-    pool.push_back(pattern_trace(".." + std::string(400, 'B')));
-  }
-  for (int i = 0; i < 3; ++i) {
-    pool.push_back(pattern_trace(std::string(402, '.')));
-  }
-  auto run_with = [&](std::size_t cap, verify::DigestObserver& digest) {
-    auto cfg = base_config(core::PolicyKind::ImmediateEviction, 6);
-    cfg.max_concurrent_migrations = cap;
-    ClusterSim sim(cfg, pool, table(), rng::Stream(1));
-    sim.set_sim_observer(&digest);
-    for (int i = 0; i < 3; ++i) sim.submit(120.0);
-    sim.run_until_all_complete();
-    sim.set_sim_observer(nullptr);
-    return sim.migrations_started();
-  };
-  verify::DigestObserver unlimited;
-  verify::DigestObserver size_max;
-  EXPECT_EQ(run_with(0, unlimited),
-            run_with(std::numeric_limits<std::size_t>::max(), size_max));
-  EXPECT_EQ(unlimited.digest().value(), size_max.digest().value());
-  EXPECT_EQ(unlimited.events(), size_max.events());
-  EXPECT_GT(unlimited.events(), 0u);
 }
 
 TEST(ClusterEdge, ConstructorRejectsNonsensicalConfigs) {

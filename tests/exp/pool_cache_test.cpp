@@ -2,10 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
+#include <cstdint>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "trace/coarse_generator.hpp"
 
@@ -68,99 +68,56 @@ TEST(TracePoolCache, ConcurrentGetsBuildExactlyOnce) {
 }
 
 TEST(TracePoolCache, ConcurrentSlowBuildsRunExactlyOnce) {
-  // The serving race: two threads miss on the same key while the build is
-  // slow. The second must wait on the first's future, not build again.
+  // The serving race: callers miss on a key whose pool is still being
+  // generated. They must wait on the builder's future, not build again.
+  // A day of 8 machines takes milliseconds to generate; the waiters start
+  // once the builder has claimed the key, microseconds later.
   TracePoolCache cache;
-  std::atomic<int> build_calls{0};
-  std::atomic<bool> release{false};
-  const auto slow_build = [&] {
-    ++build_calls;
-    while (!release.load()) std::this_thread::yield();
-    return TracePoolCache::Pool{};
-  };
+  TracePoolCache::PoolPtr built;
+  std::thread builder([&] { built = cache.standard(8, 24.0, 5); });
+  while (cache.builds() < 1) std::this_thread::yield();
   std::vector<std::thread> threads;
-  std::vector<TracePoolCache::PoolPtr> got(4);
-  std::atomic<int> started{0};
+  std::vector<TracePoolCache::PoolPtr> got(3);
   for (std::size_t t = 0; t < got.size(); ++t) {
-    threads.emplace_back([&, t] {
-      ++started;
-      got[t] = cache.get_or_build(9, 8.0, 5, slow_build);
-    });
+    threads.emplace_back(
+        [&cache, &got, t] { got[t] = cache.standard(8, 24.0, 5); });
   }
-  while (started.load() < 4) std::this_thread::yield();
-  // Give the laggards a moment to reach the cache while the build blocks.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  release = true;
+  builder.join();
   for (auto& th : threads) th.join();
-  EXPECT_EQ(build_calls.load(), 1);
   EXPECT_EQ(cache.builds(), 1u);
   EXPECT_EQ(cache.hits(), 3u);
-  for (const auto& p : got) EXPECT_EQ(p.get(), got[0].get());
-}
-
-TEST(TracePoolCache, ConcurrentDistinctKeysBuildInParallel) {
-  // Two different keys must not serialize: key A's build blocks until key
-  // B's build has started, which deadlocks if the cache holds its lock
-  // across generations.
-  TracePoolCache cache;
-  std::atomic<bool> b_started{false};
-  std::thread a([&] {
-    (void)cache.get_or_build(1, 8.0, 1, [&] {
-      while (!b_started.load()) std::this_thread::yield();
-      return TracePoolCache::Pool{};
-    });
-  });
-  std::thread b([&] {
-    (void)cache.get_or_build(1, 8.0, 2, [&] {
-      b_started = true;
-      return TracePoolCache::Pool{};
-    });
-  });
-  a.join();
-  b.join();
-  EXPECT_EQ(cache.builds(), 2u);
+  ASSERT_NE(built, nullptr);
+  EXPECT_EQ(built->size(), 8u);
+  for (const auto& p : got) EXPECT_EQ(p.get(), built.get());
 }
 
 TEST(TracePoolCache, FailedBuildPropagatesAndRetries) {
+  // The generator refuses a negative duration. Its exception reaches the
+  // caller, and the failure is not cached: asking again builds again.
   TracePoolCache cache;
-  EXPECT_THROW(
-      (void)cache.get_or_build(
-          2, 8.0, 3,
-          []() -> TracePoolCache::Pool { throw std::runtime_error("boom"); }),
-      std::runtime_error);
-  // The failure is not cached: the next call builds again and succeeds.
-  const auto pool =
-      cache.get_or_build(2, 8.0, 3, [] { return TracePoolCache::Pool{}; });
-  EXPECT_NE(pool, nullptr);
+  EXPECT_THROW((void)cache.standard(2, -1.0, 3), std::invalid_argument);
+  EXPECT_THROW((void)cache.standard(2, -1.0, 3), std::invalid_argument);
   EXPECT_EQ(cache.builds(), 2u);
+  EXPECT_EQ(cache.hits(), 0u);
+  // A valid request for the same machines and seed is unaffected.
+  EXPECT_EQ(cache.standard(2, 8.0, 3)->size(), 2u);
 }
 
 TEST(TracePoolCache, EvictsLeastRecentlyUsedBeyondCapacity) {
+  // The cache keeps 64 pools; building a 65th evicts the least recently
+  // used one.
+  constexpr std::uint64_t kKept = 64;
   TracePoolCache cache;
-  cache.set_capacity(2);
-  (void)cache.standard(2, 8.0, 1);  // key 1
-  (void)cache.standard(2, 8.0, 2);  // key 2
-  (void)cache.standard(2, 8.0, 1);  // touch key 1 -> key 2 becomes LRU
-  (void)cache.standard(2, 8.0, 3);  // evicts key 2
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.builds(), 3u);
-  (void)cache.standard(2, 8.0, 1);  // still resident
-  EXPECT_EQ(cache.builds(), 3u);
-  (void)cache.standard(2, 8.0, 2);  // evicted -> rebuilt
-  EXPECT_EQ(cache.builds(), 4u);
-}
-
-TEST(TracePoolCache, ShrinkingCapacityEvictsImmediately) {
-  TracePoolCache cache;
-  (void)cache.standard(2, 8.0, 1);
-  (void)cache.standard(2, 8.0, 2);
-  (void)cache.standard(2, 8.0, 3);
-  EXPECT_EQ(cache.size(), 3u);
-  cache.set_capacity(1);
-  EXPECT_EQ(cache.size(), 1u);
-  // The survivor is the most recently used key.
-  (void)cache.standard(2, 8.0, 3);
-  EXPECT_EQ(cache.builds(), 3u);
+  for (std::uint64_t seed = 0; seed < kKept; ++seed) {
+    (void)cache.standard(1, 0.5, seed);
+  }
+  (void)cache.standard(1, 0.5, 0);      // touch seed 0 -> seed 1 is LRU
+  (void)cache.standard(1, 0.5, kKept);  // evicts seed 1
+  EXPECT_EQ(cache.builds(), kKept + 1);
+  (void)cache.standard(1, 0.5, 0);  // still resident
+  EXPECT_EQ(cache.builds(), kKept + 1);
+  (void)cache.standard(1, 0.5, 1);  // evicted -> rebuilt
+  EXPECT_EQ(cache.builds(), kKept + 2);
 }
 
 TEST(TracePoolCache, ClearDropsEntries) {

@@ -121,7 +121,8 @@ TEST(Server, StartsOnEphemeralPortAndShutsDownCleanly) {
 
 TEST(Server, StartRefusesZeroBatchAndQueueBounds) {
   // batch_max = 0 had the dispatcher take no request per batch forever, so
-  // shutdown() never drained; queue_capacity = 0 rejected every run.
+  // shutdown() never drained; queue_capacity = 0 rejected every run;
+  // cache_capacity = 0 was raised to 1 without a word.
   ServerConfig zero_batch;
   zero_batch.batch_max = 0;
   Server a(zero_batch);
@@ -130,6 +131,10 @@ TEST(Server, StartRefusesZeroBatchAndQueueBounds) {
   zero_queue.queue_capacity = 0;
   Server b(zero_queue);
   EXPECT_THROW(b.start(), std::invalid_argument);
+  ServerConfig zero_cache;
+  zero_cache.cache_capacity = 0;
+  Server c(zero_cache);
+  EXPECT_THROW(c.start(), std::invalid_argument);
 }
 
 TEST(Server, AnswersPingAndStats) {
