@@ -15,6 +15,7 @@
 #include "core/policy.hpp"
 #include "fault/fault_spec.hpp"
 #include "trace/coarse_generator.hpp"
+#include "trace/trace_pool.hpp"
 #include "workload/burst_table.hpp"
 
 namespace {
@@ -24,11 +25,12 @@ using namespace ll;
 constexpr std::size_t kNodes = 16;
 constexpr std::uint64_t kSeed = 42;
 
-std::vector<trace::CoarseTrace> pool() {
-  static const std::vector<trace::CoarseTrace> p = [] {
+const trace::TracePool& pool() {
+  static const trace::TracePool p = [] {
     trace::CoarseGenConfig gen;
     gen.duration = 24.0 * 3600.0;
-    return trace::generate_machine_pool(gen, kNodes, rng::Stream(kSeed + 1));
+    return trace::TracePool(
+        trace::generate_machine_pool(gen, kNodes, rng::Stream(kSeed + 1)));
   }();
   return p;
 }
@@ -43,7 +45,7 @@ cluster::ExperimentConfig base_config() {
 }
 
 void run_open(benchmark::State& state, const cluster::ExperimentConfig& cfg) {
-  const auto p = pool();
+  const trace::TracePool& p = pool();
   const workload::BurstTable& table = workload::default_burst_table();
   for (auto _ : state) {
     const cluster::ClusterReport report = cluster::run_open(cfg, p, table);

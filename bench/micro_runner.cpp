@@ -57,8 +57,8 @@ int main(int argc, char** argv) {
   ll::trace::CoarseGenConfig gen;
   gen.duration = 4.0 * 3600.0;
   gen.start_hour = 9.0;
-  const auto pool = ll::trace::generate_machine_pool(
-      gen, static_cast<std::size_t>(*nodes), ll::rng::Stream(*seed + 1));
+  const ll::trace::TracePool pool(ll::trace::generate_machine_pool(
+      gen, static_cast<std::size_t>(*nodes), ll::rng::Stream(*seed + 1)));
   const ll::workload::BurstTable& table = ll::workload::default_burst_table();
   const auto replication = [&](std::uint64_t s) {
     ll::cluster::ExperimentConfig cfg;

@@ -134,7 +134,8 @@ void BM_ClusterClosedHour(benchmark::State& state) {
   trace::CoarseGenConfig gen;
   gen.duration = 8 * 3600.0;
   gen.start_hour = 9.0;
-  const auto pool = trace::generate_machine_pool(gen, 8, rng::Stream(3));
+  const trace::TracePool pool(
+      trace::generate_machine_pool(gen, 8, rng::Stream(3)));
   std::uint64_t seed = 0;
   for (auto _ : state) {
     cluster::ExperimentConfig cfg;

@@ -33,9 +33,9 @@ int main(int argc, char** argv) {
   trace::CoarseGenConfig gen;
   gen.duration = *hours * 3600.0;
   gen.start_hour = *hours < 24.0 ? 9.0 : 0.0;
-  const auto pool = trace::generate_machine_pool(
-      gen, static_cast<std::size_t>(*machines), rng::Stream(*seed));
-  const auto stats = trace::analyze_coarse(pool);
+  const trace::TracePool pool(trace::generate_machine_pool(
+      gen, static_cast<std::size_t>(*machines), rng::Stream(*seed)));
+  const auto stats = trace::analyze_coarse(pool.traces());
   std::printf("pool: %zu machines x %.0f h, non-idle %.0f%%, mean cpu %.1f%% "
               "(idle %.1f%%, non-idle %.1f%%)\n\n",
               pool.size(), *hours, stats.nonidle_fraction * 100,

@@ -23,8 +23,9 @@ int main() {
   trace::CoarseGenConfig gen;
   gen.duration = 8 * 3600.0;
   gen.start_hour = 9.0;
-  const auto pool = trace::generate_machine_pool(gen, 16, rng::Stream(1));
-  const auto stats = trace::analyze_coarse(pool);
+  const trace::TracePool pool(
+      trace::generate_machine_pool(gen, 16, rng::Stream(1)));
+  const auto stats = trace::analyze_coarse(pool.traces());
   std::printf("Trace pool: %.0f%% of time non-idle, mean CPU %.1f%%\n\n",
               stats.nonidle_fraction * 100.0, stats.mean_cpu_overall * 100.0);
 

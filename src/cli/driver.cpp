@@ -74,13 +74,15 @@ exp::TracePoolCache::PoolPtr load_trace_dir(const std::string& dir) {
     }
   }
   std::sort(paths.begin(), paths.end());
-  auto pool = std::make_shared<std::vector<trace::CoarseTrace>>();
-  pool->reserve(paths.size());
-  for (const fs::path& p : paths) pool->push_back(trace::load_coarse(p.string()));
-  if (pool->empty()) {
+  std::vector<trace::CoarseTrace> traces;
+  traces.reserve(paths.size());
+  for (const fs::path& p : paths) {
+    traces.push_back(trace::load_coarse(p.string()));
+  }
+  if (traces.empty()) {
     throw std::runtime_error("no .coarse traces found in " + dir);
   }
-  return pool;
+  return std::make_shared<const trace::TracePool>(std::move(traces));
 }
 
 /// Builds the pool either from --traces DIR or synthetically. Synthetic
@@ -237,7 +239,7 @@ int cmd_analyze(const std::vector<std::string>& args, std::ostream& out) {
     throw std::invalid_argument("analyze: --dir is required\n" + flags.usage());
   }
   const auto pool = load_trace_dir(*dir);
-  const auto stats = trace::analyze_coarse(*pool);
+  const auto stats = trace::analyze_coarse(pool->traces());
   util::Table table({"metric", "value"});
   table.add_row({"traces", std::to_string(pool->size())});
   table.add_row({"samples", std::to_string(stats.sample_count)});
@@ -252,7 +254,7 @@ int cmd_analyze(const std::vector<std::string>& args, std::ostream& out) {
                  util::format("%.0f s", stats.mean_idle_episode)});
   table.add_row({"mean non-idle episode",
                  util::format("%.0f s", stats.mean_nonidle_episode)});
-  const auto mem = trace::memory_availability(*pool);
+  const auto mem = trace::memory_availability(pool->traces());
   table.add_row({">= 14 MB free",
                  util::percent(
                      trace::fraction_with_at_least(mem.all_kb, 14 * 1024), 1)});
@@ -344,6 +346,7 @@ int cmd_cluster(const std::vector<std::string>& args, std::ostream& out) {
   exp::ClusterEngine engine;
   engine.shards = *shards;
   engine.queue = parse_queue_flag("cluster", *queue_name);
+  engine.runner = &util::TaskRunner::shared();
   const auto pool = traces_dir->empty() ? sc.pool() : load_trace_dir(*traces_dir);
   const workload::BurstTable table = table_path->empty()
                                          ? workload::default_burst_table()
@@ -376,13 +379,10 @@ int cmd_cluster(const std::vector<std::string>& args, std::ostream& out) {
   };
 
   // The job log and the manifest each document one concrete run: the first
-  // replication, re-run alone with its sweep-derived seed (top-level, so
-  // shard windows may use the shared runner).
-  exp::ClusterEngine rerun = engine;
-  rerun.runner = &util::TaskRunner::shared();
+  // replication, re-run alone with its sweep-derived seed.
   if (sc.closed <= 0.0 && !job_log->empty()) {
     cluster::JobStore job_records;
-    (void)sc.run_one(first_seed, rerun, *pool, table, nullptr, &job_records);
+    (void)sc.run_one(first_seed, engine, *pool, table, nullptr, &job_records);
     cluster::write_job_log(job_records, *job_log);
     out << "wrote job log to " << *job_log << "\n";
   }
@@ -403,7 +403,7 @@ int cmd_cluster(const std::vector<std::string>& args, std::ostream& out) {
       manifest.config.emplace_back("shards", std::to_string(engine.shards));
     }
     RunInstruments instruments(manifest);
-    (void)sc.run_one(first_seed, rerun, *pool, table, &instruments.hooks());
+    (void)sc.run_one(first_seed, engine, *pool, table, &instruments.hooks());
     write_manifest_file(manifest, *metrics_out);
     out << "wrote run manifest to " << *metrics_out << "\n";
   }
@@ -830,6 +830,7 @@ int cmd_trace(const std::vector<std::string>& args, std::ostream& out) {
     exp::ClusterEngine engine;
     engine.shards = *shards;
     engine.queue = parse_queue_flag("trace", *queue_name);
+    engine.runner = &util::TaskRunner::shared();
     const auto traced_run = [&tracer](std::uint64_t) {
       // Per-replication fire-span observer, confined to the task running
       // it and detached before the simulator dies.

@@ -231,8 +231,9 @@ struct ClusterSim::Impl {
   double tick_horizon = 0.0;
   std::function<void(const JobRecord&)> on_complete;
 
-  // Idle-flag cache, one entry per distinct trace in the pool.
-  std::vector<std::vector<bool>> flag_cache;
+  // The pool's derivation under cfg.recruitment: one idle-flag vector per
+  // trace, shared with every other run over the pool.
+  std::shared_ptr<const trace::PoolDerived> derived;
 
   // ---- helpers -----------------------------------------------------------
 
@@ -1104,31 +1105,6 @@ struct ClusterSim::Impl {
   }
 };
 
-PoolDerived derive_pool(std::span<const trace::CoarseTrace> pool,
-                        const trace::RecruitmentRule& rule) {
-  if (pool.empty()) {
-    throw std::invalid_argument("cluster: empty trace pool");
-  }
-  PoolDerived out;
-  out.period = pool.front().period();
-  for (const auto& t : pool) {
-    if (t.empty()) throw std::invalid_argument("cluster: empty trace in pool");
-    if (t.period() != out.period) {
-      throw std::invalid_argument("cluster: traces must share one period");
-    }
-  }
-  // One pass per trace: its flags and its idle samples' CPU together.
-  out.idle_flags.reserve(pool.size());
-  trace::IdleCpu idle_cpu;
-  for (const auto& t : pool) {
-    out.idle_flags.push_back(trace::idle_flags(t, rule, idle_cpu));
-  }
-  if (idle_cpu.count > 0) {
-    out.idle_utilization = idle_cpu.sum / static_cast<double>(idle_cpu.count);
-  }
-  return out;
-}
-
 double episode_remaining(const std::vector<bool>& flags, std::size_t window,
                          double period) {
   const std::size_t n = flags.size();
@@ -1141,8 +1117,7 @@ double episode_remaining(const std::vector<bool>& flags, std::size_t window,
   return std::numeric_limits<double>::infinity();
 }
 
-ClusterSim::ClusterSim(ClusterConfig config,
-                       std::span<const trace::CoarseTrace> pool,
+ClusterSim::ClusterSim(ClusterConfig config, const trace::TracePool& pool,
                        const workload::BurstTable& burst_table,
                        rng::Stream stream)
     : impl_(std::make_unique<Impl>(*this, std::move(config))) {
@@ -1168,10 +1143,9 @@ ClusterSim::ClusterSim(ClusterConfig config,
   }
   im.cfg.checkpoint.validate();
   im.cfg.faults.validate();
-  PoolDerived derived = derive_pool(pool, im.cfg.recruitment);
-  im.period = derived.period;
-  im.flag_cache = std::move(derived.idle_flags);
-  idle_util_ = derived.idle_utilization;
+  im.derived = pool.derived(im.cfg.recruitment);
+  im.period = im.derived->period;
+  idle_util_ = im.derived->idle_utilization;
 
   im.policy = core::make_policy(im.cfg.policy, im.cfg.policy_params);
   im.rates = node::EffectiveRateTable::analytic(burst_table, im.cfg.context_switch);
@@ -1192,7 +1166,7 @@ ClusterSim::ClusterSim(ClusterConfig config,
                           ? setup.uniform_index(pool.size())
                           : i % pool.size();
     n.trace = &pool[pick];
-    n.flags = &im.flag_cache[pick];
+    n.flags = &im.derived->idle_flags[pick];
     n.offset_windows = im.cfg.randomize_placement
                            ? setup.uniform_index(n.trace->samples().size())
                            : 0;

@@ -29,7 +29,6 @@
 #include <functional>
 #include <limits>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "core/policy.hpp"
@@ -43,6 +42,7 @@
 #include "node/memory_model.hpp"
 #include "rng/rng.hpp"
 #include "trace/recruitment.hpp"
+#include "trace/trace_pool.hpp"
 #include "workload/burst_table.hpp"
 
 namespace ll::cluster {
@@ -93,23 +93,6 @@ struct ClusterConfig {
   fault::CheckpointConfig checkpoint;
 };
 
-/// What both cluster engines derive from the trace pool before placing
-/// nodes.
-struct PoolDerived {
-  double period = 0.0;  ///< the sample period every trace shares
-  /// Per pool entry: the recruitment rule's idle flag of each sample.
-  std::vector<std::vector<bool>> idle_flags;
-  /// "l" for the linger cost model: the mean CPU over every idle sample in
-  /// the pool (summed in pool order), or 0.05 when no sample is idle.
-  double idle_utilization = 0.05;
-};
-
-/// Checks the pool (non-empty, no empty trace, one shared period; throws
-/// std::invalid_argument) and derives PoolDerived under the recruitment
-/// `rule`.
-[[nodiscard]] PoolDerived derive_pool(std::span<const trace::CoarseTrace> pool,
-                                      const trace::RecruitmentRule& rule);
-
 /// The OracleLinger baseline's PolicyContext::episode_remaining: seconds of
 /// consecutive non-idle samples from sample `window` on (0 when it is idle),
 /// replaying `flags` with wrap-around at `period` seconds per sample; +inf
@@ -121,8 +104,10 @@ struct PoolDerived {
 class ClusterSim {
  public:
   /// The trace pool must be non-empty and share one sample period; nodes
-  /// draw (trace, offset) pairs from `stream`.
-  ClusterSim(ClusterConfig config, std::span<const trace::CoarseTrace> pool,
+  /// draw (trace, offset) pairs from `stream`. The simulator borrows the
+  /// pool's traces (the pool must outlive it) and shares its derivation
+  /// under config.recruitment (TracePool::derived).
+  ClusterSim(ClusterConfig config, const trace::TracePool& pool,
              const workload::BurstTable& burst_table, rng::Stream stream);
 
   ~ClusterSim();

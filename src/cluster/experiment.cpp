@@ -47,7 +47,7 @@ void reduce_jobs(ClusterReport& report, const JobStore& jobs, bool open) {
 }
 
 ClusterReport run_open(const ExperimentConfig& config,
-                       std::span<const trace::CoarseTrace> pool,
+                       const trace::TracePool& pool,
                        const workload::BurstTable& table,
                        JobStore* jobs_out,
                        const RunHooks* hooks) {
@@ -56,7 +56,7 @@ ClusterReport run_open(const ExperimentConfig& config,
 }
 
 ClusterReport run_closed(const ExperimentConfig& config,
-                         std::span<const trace::CoarseTrace> pool,
+                         const trace::TracePool& pool,
                          const workload::BurstTable& table, double duration,
                          const RunHooks* hooks) {
   ClusterSim sim(config.cluster, pool, table, run_stream(config));

@@ -22,7 +22,6 @@
 
 #include <functional>
 #include <optional>
-#include <span>
 #include <stdexcept>
 
 #include "cluster/cluster_sim.hpp"
@@ -152,14 +151,14 @@ ClusterReport drive(Sim& sim, const WorkloadSpec& workload,
 /// receives the per-job records (state times, transition histories) for
 /// export via write_job_log or custom analysis.
 [[nodiscard]] ClusterReport run_open(const ExperimentConfig& config,
-                                     std::span<const trace::CoarseTrace> pool,
+                                     const trace::TracePool& pool,
                                      const workload::BurstTable& table,
                                      JobStore* jobs_out = nullptr,
                                      const RunHooks* hooks = nullptr);
 
 /// Closed-mode run: holds `workload.jobs` jobs in the system for `duration`.
 [[nodiscard]] ClusterReport run_closed(const ExperimentConfig& config,
-                                       std::span<const trace::CoarseTrace> pool,
+                                       const trace::TracePool& pool,
                                        const workload::BurstTable& table,
                                        double duration = 3600.0,
                                        const RunHooks* hooks = nullptr);

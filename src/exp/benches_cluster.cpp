@@ -168,7 +168,8 @@ int run_ext_trace_sensitivity(const std::vector<std::string>& args,
       const auto pool = std::make_shared<const TracePoolCache::Pool>(
           trace::generate_machine_pool(gen, static_cast<std::size_t>(*nodes),
                                        rng::Stream(*std_flags.seed + 1)));
-      const double nonidle = trace::analyze_coarse(*pool).nonidle_fraction;
+      const double nonidle =
+          trace::analyze_coarse(pool->traces()).nonidle_fraction;
 
       cluster::ExperimentConfig cfg;
       cfg.cluster.node_count = static_cast<std::size_t>(*nodes);

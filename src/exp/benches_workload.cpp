@@ -175,7 +175,7 @@ int run_sec32(const std::vector<std::string>& args, std::ostream& out) {
 
   const auto pool = TracePoolCache::shared().standard(
       static_cast<std::size_t>(*machines), *days * 24.0, *seed);
-  const auto stats = trace::analyze_coarse(*pool);
+  const auto stats = trace::analyze_coarse(pool->traces());
 
   util::Table summary({"metric", "paper", "measured"});
   summary.add_row({"non-idle fraction of time", "46%",
@@ -229,7 +229,7 @@ int run_fig04(const std::vector<std::string>& args, std::ostream& out) {
 
   const auto pool = TracePoolCache::shared().standard(
       static_cast<std::size_t>(*machines), *days * 24.0, *seed);
-  const auto mem = trace::memory_availability(*pool);
+  const auto mem = trace::memory_availability(pool->traces());
 
   util::CsvWriter csv(*csv_path);
   csv.row({"free_mb", "all", "idle", "nonidle"});

@@ -9,7 +9,9 @@
 /// of (machines, hours, seed), so a sweep needs to build each distinct pool
 /// exactly once; this cache enforces that, process-wide and thread-safe.
 /// Cells hold the pool by shared_ptr-to-const: immutable, so sharing across
-/// runner threads is race-free.
+/// runner threads is race-free, and each pool carries its own derivations
+/// (TracePool::derived), so every cell replaying a cached pool shares them
+/// and an evicted pool frees them with its traces.
 ///
 /// It is a util::SingleFlightCache: concurrent misses on one key build the
 /// pool once, builds for different keys run in parallel, and at most
@@ -20,17 +22,17 @@
 #include <cstdint>
 #include <memory>
 #include <tuple>
-#include <vector>
 
 #include "obs/metrics.hpp"
 #include "trace/coarse_generator.hpp"
+#include "trace/trace_pool.hpp"
 #include "util/single_flight_cache.hpp"
 
 namespace ll::exp {
 
 class TracePoolCache {
  public:
-  using Pool = std::vector<trace::CoarseTrace>;
+  using Pool = trace::TracePool;
   using PoolPtr = std::shared_ptr<const Pool>;
 
   /// The standard synthetic pool, defined only here (the CLI, the

@@ -129,9 +129,8 @@ TracePoolCache::PoolPtr ClusterScenario::pool() const {
 
 cluster::ClusterReport ClusterScenario::run_one(
     std::uint64_t run_seed, const ClusterEngine& engine,
-    std::span<const trace::CoarseTrace> pool,
-    const workload::BurstTable& table, const ClusterHooks* hooks,
-    cluster::JobStore* jobs_out) const {
+    const trace::TracePool& pool, const workload::BurstTable& table,
+    const ClusterHooks* hooks, cluster::JobStore* jobs_out) const {
   cluster::ExperimentConfig cfg;
   cfg.cluster.node_count = nodes;
   cfg.cluster.queue = engine.queue;

@@ -13,7 +13,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <span>
 #include <string>
 
 #include "cluster/experiment.hpp"
@@ -40,7 +39,7 @@ struct ClusterEngine {
   /// Event-queue backend; results are identical for both.
   des::QueueBackend queue = des::QueueBackend::kHeap;
   /// Runs the sharded engine's per-window shard tasks; nullptr runs them
-  /// serially on the calling thread (as inside a sweep cell).
+  /// serially on the calling thread. Results are the same either way.
   util::TaskRunner* runner = nullptr;
 };
 
@@ -88,8 +87,8 @@ struct ClusterScenario {
   /// when `closed` > 0. `jobs_out` receives an open run's job records.
   [[nodiscard]] cluster::ClusterReport run_one(
       std::uint64_t run_seed, const ClusterEngine& engine,
-      std::span<const trace::CoarseTrace> pool,
-      const workload::BurstTable& table, const ClusterHooks* hooks = nullptr,
+      const trace::TracePool& pool, const workload::BurstTable& table,
+      const ClusterHooks* hooks = nullptr,
       cluster::JobStore* jobs_out = nullptr) const;
 
   /// The one-cell sweep "cluster" over axis "policy": `reps` replications

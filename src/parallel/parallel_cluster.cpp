@@ -4,6 +4,7 @@
 #include <cmath>
 #include <deque>
 #include <limits>
+#include <span>
 #include <stdexcept>
 
 #include "des/simulation.hpp"
@@ -69,7 +70,8 @@ struct ParallelClusterSim::Impl {
     double forced_util = 0.0;
   };
   std::vector<NodeState> nodes;
-  std::vector<std::vector<bool>> flag_cache;
+  // The pool's derivation under cfg.recruitment (its idle flags only).
+  std::shared_ptr<const trace::PoolDerived> derived;
 
   struct JobRuntime {
     ParallelJobSpec spec;
@@ -424,14 +426,11 @@ struct ParallelClusterSim::Impl {
 };
 
 ParallelClusterSim::ParallelClusterSim(ParallelClusterConfig config,
-                                       std::span<const trace::CoarseTrace> pool,
+                                       const trace::TracePool& pool,
                                        const workload::BurstTable& table,
                                        rng::Stream stream)
     : impl_(std::make_unique<Impl>(*this, std::move(config), table)) {
   Impl& im = *impl_;
-  if (pool.empty()) {
-    throw std::invalid_argument("ParallelClusterSim: empty trace pool");
-  }
   if (im.cfg.node_count == 0) {
     throw std::invalid_argument("ParallelClusterSim: node_count must be > 0");
   }
@@ -440,17 +439,8 @@ ParallelClusterSim::ParallelClusterSim(ParallelClusterConfig config,
     throw std::invalid_argument(
         "ParallelClusterSim: fixed_width outside [1, node_count]");
   }
-  im.period = pool.front().period();
-  for (const auto& t : pool) {
-    if (t.empty()) {
-      throw std::invalid_argument("ParallelClusterSim: empty trace in pool");
-    }
-    if (t.period() != im.period) {
-      throw std::invalid_argument(
-          "ParallelClusterSim: traces must share one period");
-    }
-    im.flag_cache.push_back(trace::idle_flags(t, im.cfg.recruitment));
-  }
+  im.derived = pool.derived(im.cfg.recruitment);
+  im.period = im.derived->period;
 
   if (!(im.cfg.crash_restart_delay >= 0.0)) {
     throw std::invalid_argument(
@@ -467,7 +457,7 @@ ParallelClusterSim::ParallelClusterSim(ParallelClusterConfig config,
                           ? setup.uniform_index(pool.size())
                           : i % pool.size();
     n.trace = &pool[pick];
-    n.flags = &im.flag_cache[pick];
+    n.flags = &im.derived->idle_flags[pick];
     n.offset_windows = im.cfg.randomize_placement
                            ? setup.uniform_index(n.trace->samples().size())
                            : 0;

@@ -29,7 +29,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string_view>
 #include <vector>
 
@@ -38,8 +37,8 @@
 #include "obs/metrics.hpp"
 #include "parallel/bsp.hpp"
 #include "rng/rng.hpp"
-#include "trace/records.hpp"
 #include "trace/recruitment.hpp"
+#include "trace/trace_pool.hpp"
 #include "util/stable_vector.hpp"
 #include "workload/burst_table.hpp"
 
@@ -100,8 +99,10 @@ struct ParallelJobRecord {
 
 class ParallelClusterSim {
  public:
+  /// As ClusterSim: the pool must outlive the simulator, which shares its
+  /// derivation under config.recruitment.
   ParallelClusterSim(ParallelClusterConfig config,
-                     std::span<const trace::CoarseTrace> pool,
+                     const trace::TracePool& pool,
                      const workload::BurstTable& table, rng::Stream stream);
   ~ParallelClusterSim();
   ParallelClusterSim(const ParallelClusterSim&) = delete;

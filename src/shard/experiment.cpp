@@ -4,7 +4,7 @@ namespace ll::shard {
 
 cluster::ClusterReport run_open(const cluster::ExperimentConfig& config,
                                 std::size_t shards,
-                                std::span<const trace::CoarseTrace> pool,
+                                const trace::TracePool& pool,
                                 const workload::BurstTable& table,
                                 util::TaskRunner* runner,
                                 cluster::JobStore* jobs_out,
@@ -16,7 +16,7 @@ cluster::ClusterReport run_open(const cluster::ExperimentConfig& config,
 
 cluster::ClusterReport run_closed(const cluster::ExperimentConfig& config,
                                   std::size_t shards,
-                                  std::span<const trace::CoarseTrace> pool,
+                                  const trace::TracePool& pool,
                                   const workload::BurstTable& table,
                                   double duration, util::TaskRunner* runner,
                                   const RunHooks* hooks) {

@@ -6,8 +6,6 @@
 /// one protocol and one ClusterReport reduction. The report carries the
 /// same metrics as cluster::run_open/run_closed.
 
-#include <span>
-
 #include "cluster/experiment.hpp"
 #include "shard/sharded_sim.hpp"
 
@@ -22,15 +20,15 @@ using RunHooks = cluster::EngineHooks<ShardedClusterSim>;
 /// tasks (nullptr = serial).
 [[nodiscard]] cluster::ClusterReport run_open(
     const cluster::ExperimentConfig& config, std::size_t shards,
-    std::span<const trace::CoarseTrace> pool,
-    const workload::BurstTable& table, util::TaskRunner* runner = nullptr,
-    cluster::JobStore* jobs_out = nullptr, const RunHooks* hooks = nullptr);
+    const trace::TracePool& pool, const workload::BurstTable& table,
+    util::TaskRunner* runner = nullptr, cluster::JobStore* jobs_out = nullptr,
+    const RunHooks* hooks = nullptr);
 
 /// Closed-mode run: holds `workload.jobs` jobs in the system for `duration`.
 [[nodiscard]] cluster::ClusterReport run_closed(
     const cluster::ExperimentConfig& config, std::size_t shards,
-    std::span<const trace::CoarseTrace> pool,
-    const workload::BurstTable& table, double duration = 3600.0,
-    util::TaskRunner* runner = nullptr, const RunHooks* hooks = nullptr);
+    const trace::TracePool& pool, const workload::BurstTable& table,
+    double duration = 3600.0, util::TaskRunner* runner = nullptr,
+    const RunHooks* hooks = nullptr);
 
 }  // namespace ll::shard

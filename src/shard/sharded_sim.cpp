@@ -76,7 +76,7 @@ struct ShardedClusterSim::Shard {
 
 ShardedClusterSim::ShardedClusterSim(cluster::ClusterConfig config,
                                      std::size_t shards,
-                                     std::span<const trace::CoarseTrace> pool,
+                                     const trace::TracePool& pool,
                                      const workload::BurstTable& burst_table,
                                      rng::Stream stream,
                                      util::TaskRunner* runner)
@@ -96,10 +96,9 @@ ShardedClusterSim::ShardedClusterSim(cluster::ClusterConfig config,
     throw std::invalid_argument(
         "sharded sim: only max_foreign_per_node == 1 is modeled");
   }
-  cluster::PoolDerived derived = cluster::derive_pool(pool, cfg_.recruitment);
-  period_ = derived.period;
-  flag_cache_ = std::move(derived.idle_flags);
-  idle_util_ = derived.idle_utilization;
+  derived_ = pool.derived(cfg_.recruitment);
+  period_ = derived_->period;
+  idle_util_ = derived_->idle_utilization;
   cfg_.faults.validate();
   cfg_.checkpoint.validate();
   policy_ = core::make_policy(cfg_.policy, cfg_.policy_params);
@@ -138,7 +137,7 @@ ShardedClusterSim::ShardedClusterSim(cluster::ClusterConfig config,
           setup.uniform_index(pool[pick].samples().size()));
     }
     node_trace_[i] = &pool[pick];
-    node_flags_[i] = &flag_cache_[pick];
+    node_flags_[i] = &derived_->idle_flags[pick];
     node_offset_[i] = offset;
   }
 

@@ -47,7 +47,6 @@
 #include <functional>
 #include <limits>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "cluster/cluster_sim.hpp"
@@ -58,7 +57,7 @@
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
 #include "rng/rng.hpp"
-#include "trace/records.hpp"
+#include "trace/trace_pool.hpp"
 #include "util/runner.hpp"
 #include "workload/burst_table.hpp"
 
@@ -81,9 +80,10 @@ class ShardedClusterSim {
   /// windows are skipped — pinned by the empty-shard test). `runner`
   /// executes the per-window shard tasks; nullptr (or K == 1) advances the
   /// shards serially on the calling thread — results are identical either
-  /// way per the TaskRunner determinism contract.
+  /// way per the TaskRunner determinism contract. As in ClusterSim, the
+  /// pool must outlive the simulator, which shares its derivation.
   ShardedClusterSim(cluster::ClusterConfig config, std::size_t shards,
-                    std::span<const trace::CoarseTrace> pool,
+                    const trace::TracePool& pool,
                     const workload::BurstTable& burst_table,
                     rng::Stream stream, util::TaskRunner* runner = nullptr);
   ~ShardedClusterSim();
@@ -236,8 +236,10 @@ class ShardedClusterSim {
   std::vector<double> node_fg_delay_;
   std::vector<double> node_lost_;
 
-  // Per-trace idle-flag cache shared by every node replaying that trace.
-  std::vector<std::vector<bool>> flag_cache_;
+  // The pool's derivation under cfg_.recruitment: one idle-flag vector per
+  // trace, shared by every node replaying that trace and every other run
+  // over the pool.
+  std::shared_ptr<const trace::PoolDerived> derived_;
 
   cluster::JobStore jobs_;
   std::vector<rng::Stream> job_link_;    // per-job link-fault stream

@@ -1,6 +1,7 @@
 #include "trace/recruitment.hpp"
 
 #include <cmath>
+#include <stdexcept>
 
 namespace ll::trace {
 namespace {
@@ -25,6 +26,16 @@ std::vector<double> episode_lengths(const CoarseTrace& trace,
 
 }  // namespace
 
+void RecruitmentRule::validate() const {
+  if (!std::isfinite(cpu_threshold)) {
+    throw std::invalid_argument("recruitment: cpu_threshold must be finite");
+  }
+  if (!std::isfinite(quiet_seconds) || quiet_seconds < 0.0) {
+    throw std::invalid_argument(
+        "recruitment: quiet_seconds must be finite and >= 0");
+  }
+}
+
 std::vector<bool> idle_flags(const CoarseTrace& trace,
                              const RecruitmentRule& rule) {
   IdleCpu unused;
@@ -33,13 +44,17 @@ std::vector<bool> idle_flags(const CoarseTrace& trace,
 
 std::vector<bool> idle_flags(const CoarseTrace& trace,
                              const RecruitmentRule& rule, IdleCpu& idle_cpu) {
+  rule.validate();
   const auto& samples = trace.samples();
   std::vector<bool> flags(samples.size(), false);
-  if (samples.empty()) return flags;
 
-  // Number of consecutive trailing quiet samples needed (>= 1).
-  const auto needed = static_cast<std::size_t>(
-      std::max(1.0, std::ceil(rule.quiet_seconds / trace.period())));
+  // Number of consecutive trailing quiet samples needed (>= 1). A window
+  // longer than the trace flags nothing; the test also keeps the cast
+  // below in range.
+  const double window =
+      std::max(1.0, std::ceil(rule.quiet_seconds / trace.period()));
+  if (!(window <= static_cast<double>(samples.size()))) return flags;
+  const auto needed = static_cast<std::size_t>(window);
 
   // Accumulated in locals: behind the reference, the sum could alias a
   // sample's cpu and the count a word of `flags`, which would keep both in

@@ -18,6 +18,10 @@ namespace ll::trace {
 struct RecruitmentRule {
   double cpu_threshold = 0.10;    // window is "quiet" if cpu < threshold
   double quiet_seconds = 60.0;    // must be quiet this long to count as idle
+
+  /// Throws std::invalid_argument unless cpu_threshold is finite and
+  /// quiet_seconds is finite and >= 0.
+  void validate() const;
 };
 
 /// Computes the per-sample idle flag for a trace under a rule. Sample i is
@@ -26,7 +30,8 @@ struct RecruitmentRule {
 /// trace (age < quiet_seconds) are conservatively non-idle unless the whole
 /// prefix is quiet for quiet_seconds... they are treated with the same rule
 /// applied to the available prefix only when the prefix spans the full quiet
-/// window; otherwise they are non-idle (conservative).
+/// window; otherwise they are non-idle (conservative). A quiet window longer
+/// than the whole trace flags no sample. Validates `rule` first.
 [[nodiscard]] std::vector<bool> idle_flags(const CoarseTrace& trace,
                                            const RecruitmentRule& rule = {});
 

@@ -11,6 +11,7 @@
 #include "shard/sharded_sim.hpp"
 #include "parallel/bsp.hpp"
 #include "trace/coarse_generator.hpp"
+#include "trace/trace_pool.hpp"
 #include "workload/burst_table.hpp"
 #include "workload/fine_generator.hpp"
 
@@ -103,13 +104,13 @@ void check_cluster(const Sim& sim, InvariantRegistry& reg) {
   }
 }
 
-std::vector<trace::CoarseTrace> small_pool(rng::Stream stream,
-                                           std::size_t machines,
-                                           double hours) {
+trace::TracePool small_pool(rng::Stream stream, std::size_t machines,
+                            double hours) {
   trace::CoarseGenConfig gen;
   gen.duration = hours * 3600.0;
   gen.start_hour = 9.0;  // working hours: mixed idle/busy structure
-  return trace::generate_machine_pool(gen, machines, std::move(stream));
+  return trace::TracePool(
+      trace::generate_machine_pool(gen, machines, std::move(stream)));
 }
 
 // ---- des ------------------------------------------------------------------

@@ -296,17 +296,23 @@ TEST_F(CliTest, ClusterJsonEmitsSweep) {
 }
 
 TEST_F(CliTest, ClusterShardedJsonIsShardCountInvariantAndWritesJobLog) {
-  const auto sharded = [&](const std::string& shards) {
-    return run({"cluster", shards, "--nodes=8", "--jobs=8", "--demand=60",
-                "--machines=4", "--days=0.2", "--seed=5", "--reps=2",
-                "--json"});
+  const auto sharded = [&](const std::string& shards,
+                           const std::string& workers = "--workers=0") {
+    return run({"cluster", shards, workers, "--nodes=8", "--jobs=8",
+                "--demand=60", "--machines=4", "--days=0.2", "--seed=5",
+                "--reps=2", "--json"});
   };
   const CliResult one = sharded("--shards=1");
   const CliResult three = sharded("--shards=3");
+  // Two sweep workers run both replications at once, each submitting its
+  // shard windows to the shared runner.
+  const CliResult concurrent = sharded("--shards=3", "--workers=2");
   ASSERT_EQ(one.code, 0) << one.err;
   ASSERT_EQ(three.code, 0) << three.err;
+  ASSERT_EQ(concurrent.code, 0) << concurrent.err;
   EXPECT_EQ(one.out.front(), '{');
   EXPECT_EQ(one.out, three.out);
+  EXPECT_EQ(one.out, concurrent.out);
 
   const CliResult logged =
       run({"cluster", "--shards=2", "--nodes=4", "--jobs=4", "--demand=60",

@@ -27,7 +27,7 @@ class EndToEnd : public ::testing::Test {
     trace::CoarseGenConfig gen;
     gen.duration = 8 * 3600.0;  // 8 working hours per machine
     gen.start_hour = 9.0;
-    pool_ = new std::vector<trace::CoarseTrace>(
+    pool_ = new trace::TracePool(
         trace::generate_machine_pool(gen, 16, rng::Stream(2024)));
   }
   static void TearDownTestSuite() {
@@ -47,10 +47,10 @@ class EndToEnd : public ::testing::Test {
                                duration);
   }
 
-  static std::vector<trace::CoarseTrace>* pool_;
+  static trace::TracePool* pool_;
 };
 
-std::vector<trace::CoarseTrace>* EndToEnd::pool_ = nullptr;
+trace::TracePool* EndToEnd::pool_ = nullptr;
 
 TEST_F(EndToEnd, Figure2Pipeline_FittedH2MatchesEmpiricalBursts) {
   // Generate a dispatch trace at fixed utilization, bucket and re-fit it,

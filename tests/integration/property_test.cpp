@@ -38,17 +38,17 @@ class PolicyMatrix : public ::testing::TestWithParam<core::PolicyKind> {
     trace::CoarseGenConfig gen;
     gen.duration = 6 * 3600.0;
     gen.start_hour = 9.0;
-    pool_ = new std::vector<trace::CoarseTrace>(
+    pool_ = new trace::TracePool(
         trace::generate_machine_pool(gen, 8, rng::Stream(314)));
   }
   static void TearDownTestSuite() {
     delete pool_;
     pool_ = nullptr;
   }
-  static std::vector<trace::CoarseTrace>* pool_;
+  static trace::TracePool* pool_;
 };
 
-std::vector<trace::CoarseTrace>* PolicyMatrix::pool_ = nullptr;
+trace::TracePool* PolicyMatrix::pool_ = nullptr;
 
 TEST_P(PolicyMatrix, AllJobsCompleteAndAccountingIsConsistent) {
   cluster::ClusterConfig cfg;
@@ -102,7 +102,7 @@ TEST_P(PolicyMatrix, DeliveredWorkNeverExceedsLeftoverCapacity) {
       assignment.push_back(i % pool_->size());
     }
     EXPECT_LE(sim.delivered_cpu(),
-              leftover_capacity(*pool_, assignment, horizon) + 1e-6)
+              leftover_capacity(pool_->traces(), assignment, horizon) + 1e-6)
         << "slots=" << slots;
   }
 }
@@ -190,7 +190,8 @@ TEST_P(WidthPolicyMatrix, JobsCompleteAndWorkIsConserved) {
   trace::CoarseGenConfig gen;
   gen.duration = 4 * 3600.0;
   gen.start_hour = 9.0;
-  const auto pool = trace::generate_machine_pool(gen, 8, rng::Stream(21));
+  const trace::TracePool pool(
+      trace::generate_machine_pool(gen, 8, rng::Stream(21)));
 
   parallel::ParallelClusterConfig cfg;
   cfg.node_count = 8;

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cfloat>
+#include <limits>
+#include <stdexcept>
+
 namespace ll::trace {
 namespace {
 
@@ -112,6 +117,58 @@ TEST(Recruitment, RecruitmentDelayExtendsNonIdleEpisodes) {
   // Episode: busy window + 29 quiet windows of recruitment delay.
   ASSERT_GE(nonidle.size(), 1u);
   EXPECT_DOUBLE_EQ(nonidle.back(), 2.0 * 30.0);
+}
+
+TEST(Recruitment, RejectsNonFiniteRule) {
+  // A non-finite threshold or quiet period has no meaning as a rule: a NaN
+  // threshold used to flag nothing, a NaN quiet period acted as one quiet
+  // sample, and an infinite one was cast out of size_t's range.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  CoarseTrace t(2.0);
+  for (int i = 0; i < 40; ++i) t.push(quiet());
+  for (const RecruitmentRule rule :
+       {RecruitmentRule{nan, 60.0}, RecruitmentRule{inf, 60.0},
+        RecruitmentRule{-inf, 60.0}, RecruitmentRule{0.1, nan},
+        RecruitmentRule{0.1, inf}, RecruitmentRule{0.1, -inf},
+        RecruitmentRule{0.1, -1.0}}) {
+    EXPECT_THROW(rule.validate(), std::invalid_argument)
+        << rule.cpu_threshold << ", " << rule.quiet_seconds;
+    EXPECT_THROW((void)idle_flags(t, rule), std::invalid_argument)
+        << rule.cpu_threshold << ", " << rule.quiet_seconds;
+  }
+  // The empty trace has no sample to flag, but the rule is still checked.
+  EXPECT_THROW((void)idle_flags(CoarseTrace(2.0), RecruitmentRule{0.1, nan}),
+               std::invalid_argument);
+  // Any finite threshold and finite, non-negative quiet period is a rule.
+  EXPECT_NO_THROW((RecruitmentRule{-0.5, 0.0}.validate()));
+  EXPECT_NO_THROW((RecruitmentRule{2.0, DBL_MAX}.validate()));
+}
+
+TEST(Recruitment, QuietPeriodLongerThanTraceFlagsNothing) {
+  // 100 samples (200 s) mixing quiet, busy and typing samples.
+  CoarseTrace t(2.0);
+  for (int i = 0; i < 100; ++i) {
+    t.push(i % 10 == 3 ? busy_cpu() : i % 10 == 7 ? typing() : quiet());
+  }
+  CoarseTrace all_quiet(2.0);
+  for (int i = 0; i < 100; ++i) all_quiet.push(quiet());
+  for (const double quiet_seconds : {200.5, 1e6, 1e300, DBL_MAX}) {
+    const RecruitmentRule rule{0.1, quiet_seconds};
+    for (const CoarseTrace* trace : {&t, &all_quiet}) {
+      IdleCpu idle_cpu{1.5, 3};
+      const std::vector<bool> flags = idle_flags(*trace, rule, idle_cpu);
+      ASSERT_EQ(flags.size(), 100u);
+      EXPECT_EQ(std::count(flags.begin(), flags.end(), true), 0)
+          << "quiet_seconds " << quiet_seconds;
+      EXPECT_EQ(idle_cpu.sum, 1.5);  // nothing idle was added
+      EXPECT_EQ(idle_cpu.count, 3u);
+    }
+  }
+  // A window of exactly the whole trace flags its last sample only.
+  const auto last = idle_flags(all_quiet, RecruitmentRule{0.1, 200.0});
+  EXPECT_EQ(std::count(last.begin(), last.end(), true), 1);
+  EXPECT_TRUE(last.back());
 }
 
 }  // namespace
