@@ -1,5 +1,8 @@
 #include "exp/pool_cache.hpp"
 
+#include <cmath>
+#include <stdexcept>
+
 #include "rng/rng.hpp"
 
 namespace ll::exp {
@@ -7,6 +10,10 @@ namespace ll::exp {
 TracePoolCache::PoolPtr TracePoolCache::standard(std::size_t machines,
                                                  double hours,
                                                  std::uint64_t seed) {
+  // Before the lookup: a NaN key would compare equivalent to every key.
+  if (!std::isfinite(hours) || hours < 0.0) {
+    throw std::invalid_argument("trace pool: hours must be finite and >= 0");
+  }
   const auto build = [&] {
     trace::CoarseGenConfig gen;
     gen.duration = hours * 3600.0;

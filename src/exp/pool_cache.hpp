@@ -10,13 +10,17 @@
 /// exactly once; this cache enforces that, process-wide and thread-safe.
 /// Cells hold the pool by shared_ptr-to-const: immutable, so sharing across
 /// runner threads is race-free, and each pool carries its own derivations
-/// (TracePool::derived), so every cell replaying a cached pool shares them
-/// and an evicted pool frees them with its traces.
+/// (TracePool::derived), so every cell replaying a pool shares them and a
+/// pool frees them with its traces.
 ///
 /// It is a util::SingleFlightCache: concurrent misses on one key build the
-/// pool once, builds for different keys run in parallel, and at most
-/// kCapacity finished pools are kept, least recently used evicted first,
-/// so a long-lived process cannot grow it without limit.
+/// pool once, and builds for different keys run in parallel. A pool lives
+/// while a run holds its PoolPtr, and every request for its key meanwhile
+/// gets that pool, so two runs over one pool never hold two copies. Beyond
+/// that the cache keeps the most recently used finished pools up to
+/// kKeptBytes of samples. That holds a dozen of the small pools a served
+/// request asks for, so a long-lived process reuses them across configs,
+/// but never a bench-sized pool, which its sweep holds anyway.
 
 #include <cstddef>
 #include <cstdint>
@@ -35,16 +39,22 @@ class TracePoolCache {
   using Pool = trace::TracePool;
   using PoolPtr = std::shared_ptr<const Pool>;
 
+  /// Sample bytes of finished pools the cache keeps beyond those runs hold
+  /// (TracePool::sample_bytes; a machine-day is ~0.7 MB).
+  static constexpr std::size_t kKeptBytes = std::size_t{8} << 20;
+
   /// The standard synthetic pool, defined only here (the CLI, the
-  /// registered benches and the standalone bench/ binaries all use it):
+  /// registered benches and the served scenarios all use it):
   /// `hours` per machine; pools shorter than a day start at 09:00 so they
-  /// cover working hours, full days at midnight.
+  /// cover working hours, full days at midnight. Throws
+  /// std::invalid_argument for a non-finite or negative `hours`.
   PoolPtr standard(std::size_t machines, double hours, std::uint64_t seed);
 
   [[nodiscard]] std::size_t builds() const { return cache_.builds(); }
   [[nodiscard]] std::size_t hits() const { return cache_.hits(); }
 
-  /// Drops every cached pool (tests; long-lived processes changing scale).
+  /// Forgets every pool, so each key builds again (perfbench's setup; tests).
+  /// Runs keep the pools they hold.
   void clear() { cache_.clear(); }
 
   /// Publishes exp.pool_cache.{builds,hits} counters into `registry`
@@ -55,12 +65,16 @@ class TracePoolCache {
   static TracePoolCache& shared();
 
  private:
-  static constexpr std::size_t kCapacity = 64;
+  struct SampleBytes {
+    std::size_t operator()(const Pool& pool) const {
+      return pool.sample_bytes();
+    }
+  };
 
-  /// Keyed by (machines, hours, seed).
+  /// Keyed by (machines, hours, seed), weighed in sample bytes.
   util::SingleFlightCache<std::tuple<std::size_t, double, std::uint64_t>,
-                          Pool>
-      cache_{kCapacity};
+                          Pool, SampleBytes>
+      cache_{kKeptBytes};
 };
 
 }  // namespace ll::exp

@@ -2,9 +2,11 @@
 
 /// \file server.hpp
 /// `llsim serve`: the simulator as a long-running service. Accepts NDJSON
-/// requests (protocol.hpp) over TCP, multiplexes every admitted `run`
-/// request onto the shared lock-free util::TaskRunner, and streams the
-/// responses back as they complete.
+/// requests (protocol.hpp) over TCP and multiplexes every admitted `run`
+/// request onto the shared lock-free util::TaskRunner. Responses do not
+/// stream back as they complete: the dispatcher writes a batch's responses
+/// once the whole batch has run, so a hit batched with misses waits for
+/// them.
 ///
 /// Threading model:
 ///  * one accept thread;

@@ -187,12 +187,16 @@ std::vector<CoarseTrace> generate_machine_pool(const CoarseGenConfig& config,
   // One task per machine. Each draws from its own pure fork of `master`
   // and writes only its own trace, so the pool is the same on any number
   // of threads. Safe inside another task of the shared runner: a caller
-  // waiting in run() drains only its own batch.
+  // waiting in run() drains only its own batch. A task fills a local
+  // CoarseTrace holding the buffer and moves it back: two 32-byte traces
+  // share a cache line, and each sample stores the trace's end pointer.
   std::vector<std::function<void()>> tasks;
   tasks.reserve(machines);
   for (std::size_t m = 0; m < machines; ++m) {
-    tasks.emplace_back([&config, &master, &trace = pool[m], m] {
+    tasks.emplace_back([&config, &master, &slot = pool[m], m] {
+      CoarseTrace trace = std::move(slot);
       fill(config, master.fork("machine", m), trace);
+      slot = std::move(trace);
     });
   }
   util::TaskRunner::shared().run(std::move(tasks));

@@ -36,6 +36,12 @@ PoolDerived derive_pool(const std::vector<CoarseTrace>& pool,
 
 }  // namespace
 
+std::size_t TracePool::sample_bytes() const {
+  std::size_t samples = 0;
+  for (const auto& t : traces_) samples += t.size();
+  return samples * sizeof(CoarseSample);
+}
+
 std::shared_ptr<const PoolDerived> TracePool::derived(
     const RecruitmentRule& rule) const {
   // Before the lookup: a NaN key would compare equal to every other key.

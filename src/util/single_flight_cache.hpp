@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file single_flight_cache.hpp
-/// Bounded, thread-safe memo of immutable values that are costly to build.
+/// Thread-safe memo of immutable values that are costly to build.
 ///
 /// Single-flight: each key maps to a shared_future that is inserted before
 /// the build starts, so two threads missing on the same key concurrently
@@ -11,12 +11,21 @@
 /// unrelated callers. A build that throws rethrows in every caller waiting
 /// on it and leaves the key absent, so a later call builds again.
 ///
-/// Bounded: a miss on a full cache first evicts the least-recently-used
-/// finished entries. In-flight builds are never evicted, so the cache may
-/// transiently hold more than `capacity` entries while builds overlap.
+/// Residency: once a value is built, its entry keeps only a weak_ptr, so
+/// the value stays findable for exactly as long as someone holds it. Two
+/// callers asking for one key while either holds the value therefore share
+/// one copy, however long ago it was built. On top of that the cache itself
+/// holds the most recently used finished values up to `budget` units of
+/// weight (`Weigh`, 1 per value by default), dropping the least recently
+/// used first; a value heavier than the whole budget is never held by the
+/// cache, only shared while callers hold it. In-flight builds are never
+/// dropped. Entries whose value nobody holds any more are purged when the
+/// next key is inserted.
+///
 /// Values are shared_ptr-to-const: immutable, so callers on any thread may
-/// share them, and an evicted value lives on while a caller holds it.
+/// share them.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
@@ -26,10 +35,19 @@
 #include <mutex>
 #include <optional>
 #include <utility>
+#include <vector>
 
 namespace ll::util {
 
-template <typename Key, typename Value>
+/// The default weight: every value counts 1, so the budget is a count.
+struct UnitWeight {
+  template <typename Value>
+  std::size_t operator()(const Value& /*value*/) const {
+    return 1;
+  }
+};
+
+template <typename Key, typename Value, typename Weigh = UnitWeight>
 class SingleFlightCache {
  public:
   using ValuePtr = std::shared_ptr<const Value>;
@@ -39,8 +57,10 @@ class SingleFlightCache {
     bool hit = false;  ///< true when this call did not run the build
   };
 
-  /// `capacity` (>= 1) bounds the finished entries kept.
-  explicit SingleFlightCache(std::size_t capacity) : capacity_(capacity) {}
+  /// `budget` bounds the total weight of the finished values the cache
+  /// itself holds; `weigh(value)` gives each value's weight.
+  explicit SingleFlightCache(std::size_t budget, Weigh weigh = {})
+      : budget_(budget), weigh_(std::move(weigh)) {}
 
   /// Returns the value for `key`, running `build` (a callable returning a
   /// Value) exactly once per resident key across all threads. `hit` is
@@ -48,31 +68,44 @@ class SingleFlightCache {
   /// in-flight build count as hits (no work ran on their behalf).
   template <typename Build>
   Outcome get_or_build(const Key& key, Build&& build) {
+    std::vector<ValuePtr> dropped;  // released after the lock
     std::optional<std::promise<ValuePtr>> promise;  // set on a miss only
     std::shared_future<ValuePtr> future;
     {
       std::scoped_lock lock(mu_);
       auto it = entries_.find(key);
-      if (it != entries_.end()) {
-        // Hit — including an in-flight build, whose future blocks below.
+      if (it != entries_.end() && it->second.future.valid()) {
+        // In flight: wait on the builder's future below.
         ++hits_;
         it->second.last_use = ++tick_;
         future = it->second.future;
-      } else {
+      } else if (it != entries_.end()) {
+        if (ValuePtr value = it->second.value.lock()) {
+          ++hits_;
+          keep_locked(it->second, value, dropped);
+          return Outcome{std::move(value), /*hit=*/true};
+        }
+      }
+      if (!future.valid()) {
         ++builds_;
+        purge_expired_locked();  // this key's expired entry too
         future = promise.emplace().get_future().share();
-        evict_for_insert_locked();
-        entries_.emplace(key, Entry{future, ++tick_, /*ready=*/false});
+        entries_.emplace(key, Entry{future, {}, {}, 0, ++tick_});
       }
     }
     if (!promise) return Outcome{future.get(), /*hit=*/true};
 
     try {
       ValuePtr value = std::make_shared<const Value>(build());
+      const std::size_t weight = weigh_(*value);
       promise->set_value(value);
       std::scoped_lock lock(mu_);
-      auto it = entries_.find(key);
-      if (it != entries_.end()) it->second.ready = true;
+      // Only its builder removes or finishes an in-flight entry.
+      Entry& entry = entries_.find(key)->second;
+      entry.future = {};
+      entry.value = value;
+      entry.weight = weight;
+      keep_locked(entry, value, dropped);
       return Outcome{std::move(value), /*hit=*/false};
     } catch (...) {
       // Propagate to every waiter, then drop the key so a later call
@@ -94,45 +127,72 @@ class SingleFlightCache {
     return hits_;
   }
 
-  /// Resident entries, in-flight builds included.
+  /// Values the cache holds, plus in-flight builds. Values that only
+  /// callers hold are not counted.
   [[nodiscard]] std::size_t size() const {
     std::scoped_lock lock(mu_);
-    return entries_.size();
+    return static_cast<std::size_t>(
+        std::count_if(entries_.begin(), entries_.end(), [](const auto& kv) {
+          return kv.second.kept || kv.second.future.valid();
+        }));
   }
 
-  /// Drops every entry (the counters keep counting).
+  /// Forgets every finished value, so each key builds again (the counters
+  /// keep counting). Callers keep the values they hold, and in-flight
+  /// builds finish as usual.
   void clear() {
     std::scoped_lock lock(mu_);
-    entries_.clear();
+    std::erase_if(entries_,
+                  [](const auto& kv) { return !kv.second.future.valid(); });
+    kept_weight_ = 0;
   }
 
  private:
   struct Entry {
-    std::shared_future<ValuePtr> future;
+    std::shared_future<ValuePtr> future;  ///< valid while the build runs
+    std::weak_ptr<const Value> value;     ///< the finished value
+    ValuePtr kept;  ///< set while the cache itself holds the value
+    std::size_t weight = 0;
     std::uint64_t last_use = 0;  ///< LRU clock tick of the last lookup
-    bool ready = false;          ///< build finished (evictable)
   };
 
-  /// Evicts ready entries, oldest last_use first, until one more entry
-  /// fits (or only in-flight builds remain). Lock held.
-  void evict_for_insert_locked() {
-    while (entries_.size() >= capacity_) {
+  /// Makes `entry` the most recently used, holds its `value` if it fits
+  /// the budget, and then drops the least recently used held values until
+  /// their weight fits. Dropped values go to `dropped`, to be released
+  /// outside the lock. Lock held.
+  void keep_locked(Entry& entry, const ValuePtr& value,
+                   std::vector<ValuePtr>& dropped) {
+    entry.last_use = ++tick_;
+    if (!entry.kept && entry.weight <= budget_) {
+      entry.kept = value;
+      kept_weight_ += entry.weight;
+    }
+    while (kept_weight_ > budget_) {
       auto victim = entries_.end();
       for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-        if (!it->second.ready) continue;  // never evict an in-flight build
-        if (victim == entries_.end() ||
-            it->second.last_use < victim->second.last_use) {
+        if (it->second.kept &&
+            (victim == entries_.end() ||
+             it->second.last_use < victim->second.last_use)) {
           victim = it;
         }
       }
-      if (victim == entries_.end()) return;  // everything is in flight
-      entries_.erase(victim);
+      kept_weight_ -= victim->second.weight;
+      dropped.push_back(std::move(victim->second.kept));
     }
   }
 
-  const std::size_t capacity_;
+  /// Erases finished entries whose value nobody holds. Lock held.
+  void purge_expired_locked() {
+    std::erase_if(entries_, [](const auto& kv) {
+      return !kv.second.future.valid() && kv.second.value.expired();
+    });
+  }
+
+  const std::size_t budget_;
+  const Weigh weigh_;
   mutable std::mutex mu_;
   std::map<Key, Entry> entries_;
+  std::size_t kept_weight_ = 0;  ///< total weight of the held values
   std::uint64_t tick_ = 0;
   std::size_t builds_ = 0;
   std::size_t hits_ = 0;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -92,32 +94,65 @@ TEST(TracePoolCache, ConcurrentSlowBuildsRunExactlyOnce) {
 }
 
 TEST(TracePoolCache, FailedBuildPropagatesAndRetries) {
-  // The generator refuses a negative duration. Its exception reaches the
-  // caller, and the failure is not cached: asking again builds again.
+  // The generator refuses a duration that is not finite (1e308 hours
+  // overflow to infinite seconds). Its exception reaches the caller, and
+  // the failure is not cached: asking again builds again.
   TracePoolCache cache;
-  EXPECT_THROW((void)cache.standard(2, -1.0, 3), std::invalid_argument);
-  EXPECT_THROW((void)cache.standard(2, -1.0, 3), std::invalid_argument);
+  EXPECT_THROW((void)cache.standard(2, 1e308, 3), std::invalid_argument);
+  EXPECT_THROW((void)cache.standard(2, 1e308, 3), std::invalid_argument);
   EXPECT_EQ(cache.builds(), 2u);
   EXPECT_EQ(cache.hits(), 0u);
   // A valid request for the same machines and seed is unaffected.
   EXPECT_EQ(cache.standard(2, 8.0, 3)->size(), 2u);
 }
 
-TEST(TracePoolCache, EvictsLeastRecentlyUsedBeyondCapacity) {
-  // The cache keeps 64 pools; building a 65th evicts the least recently
-  // used one.
-  constexpr std::uint64_t kKept = 64;
+TEST(TracePoolCache, RefusesNonFiniteOrNegativeHoursBeforeTheLookup) {
+  // A NaN key compares equivalent to every key, so looking it up would
+  // hand back the 8-hour pool as a hit.
   TracePoolCache cache;
-  for (std::uint64_t seed = 0; seed < kKept; ++seed) {
-    (void)cache.standard(1, 0.5, seed);
+  const auto kept = cache.standard(4, 8.0, 7);
+  for (double hours : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity(), -1.0}) {
+    EXPECT_THROW((void)cache.standard(4, hours, 7), std::invalid_argument)
+        << hours;
   }
-  (void)cache.standard(1, 0.5, 0);      // touch seed 0 -> seed 1 is LRU
-  (void)cache.standard(1, 0.5, kKept);  // evicts seed 1
-  EXPECT_EQ(cache.builds(), kKept + 1);
-  (void)cache.standard(1, 0.5, 0);  // still resident
-  EXPECT_EQ(cache.builds(), kKept + 1);
-  (void)cache.standard(1, 0.5, 1);  // evicted -> rebuilt
-  EXPECT_EQ(cache.builds(), kKept + 2);
+  EXPECT_EQ(cache.builds(), 1u);
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.standard(4, 8.0, 7).get(), kept.get());
+}
+
+TEST(TracePoolCache, EvictsLeastRecentlyUsedBeyondCapacity) {
+  // The cache keeps released pools up to kKeptBytes of samples (a dozen
+  // one-machine days); building one more drops the least recently used.
+  TracePoolCache cache;
+  const std::size_t bytes = cache.standard(1, 24.0, 0)->sample_bytes();
+  const std::uint64_t kept = TracePoolCache::kKeptBytes / bytes;
+  ASSERT_GE(kept, 2u);
+  for (std::uint64_t seed = 1; seed < kept; ++seed) {
+    (void)cache.standard(1, 24.0, seed);
+  }
+  (void)cache.standard(1, 24.0, 0);     // touch seed 0 -> seed 1 is LRU
+  (void)cache.standard(1, 24.0, kept);  // drops seed 1
+  EXPECT_EQ(cache.builds(), kept + 1);
+  (void)cache.standard(1, 24.0, 0);  // still kept
+  EXPECT_EQ(cache.builds(), kept + 1);
+  (void)cache.standard(1, 24.0, 1);  // dropped and released -> rebuilt
+  EXPECT_EQ(cache.builds(), kept + 2);
+}
+
+TEST(TracePoolCache, PoolOverTheByteBudgetIsSharedWhileHeld) {
+  // A bench-sized pool is never kept by the cache, but every request for
+  // it while a run holds it gets the held pool, not a second copy.
+  TracePoolCache cache;
+  auto held = cache.standard(16, 24.0, 9);
+  ASSERT_GT(held->sample_bytes(), TracePoolCache::kKeptBytes);
+  EXPECT_EQ(cache.standard(16, 24.0, 9).get(), held.get());
+  EXPECT_EQ(cache.builds(), 1u);
+  const std::weak_ptr<const trace::TracePool> released = held;
+  held.reset();
+  EXPECT_TRUE(released.expired());  // freed with its last holder
+  (void)cache.standard(16, 24.0, 9);
+  EXPECT_EQ(cache.builds(), 2u);
 }
 
 TEST(TracePoolCache, ClearDropsEntries) {

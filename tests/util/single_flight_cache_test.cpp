@@ -4,6 +4,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -191,6 +194,158 @@ TEST(SingleFlightCache, MissDoesNotEvictAnInFlightBuild) {
   (void)cache.get_or_build({3, 0}, [] { return std::string("3"); });
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.builds(), 3u);
+}
+
+TEST(SingleFlightCache, HeldValueIsFoundAfterTheBudgetDropsIt) {
+  // At budget 1 the cache keeps only key 2 once it is built, but key 1 is
+  // still held here, so asking for it again shares the held value.
+  Cache cache(1);
+  const auto build = [] { return std::string("v"); };
+  const auto one = cache.get_or_build({1, 0}, build);
+  (void)cache.get_or_build({2, 0}, build);
+  EXPECT_EQ(cache.size(), 1u);
+  const auto again = cache.get_or_build({1, 0}, build);
+  EXPECT_TRUE(again.hit);
+  EXPECT_EQ(again.value.get(), one.value.get());
+  EXPECT_EQ(cache.builds(), 2u);
+}
+
+TEST(SingleFlightCache, ReleasedValueBeyondTheBudgetIsFreedAndRebuilt) {
+  Cache cache(1);
+  const auto build = [] { return std::string("v"); };
+  const std::weak_ptr<const std::string> one =
+      cache.get_or_build({1, 0}, build).value;
+  EXPECT_FALSE(one.expired());  // the cache keeps it
+  (void)cache.get_or_build({2, 0}, build);
+  EXPECT_TRUE(one.expired());  // dropped for key 2, and nobody held it
+  EXPECT_FALSE(cache.get_or_build({1, 0}, build).hit);
+  EXPECT_EQ(cache.builds(), 3u);
+}
+
+/// Weighs a string by its length.
+struct Length {
+  std::size_t operator()(const std::string& s) const { return s.size(); }
+};
+using Weighted = SingleFlightCache<int, std::string, Length>;
+
+TEST(SingleFlightCache, HeavierThanTheBudgetIsSharedWhileHeldButNeverKept) {
+  Weighted cache(4);
+  const std::weak_ptr<const std::string> light =
+      cache.get_or_build(2, [] { return std::string("ab"); }).value;
+  const auto build = [] { return std::string("heavy!"); };  // weight 6
+  auto first = cache.get_or_build(1, build);
+  EXPECT_EQ(cache.size(), 1u);  // the light value only
+  EXPECT_FALSE(light.expired());  // the heavy value displaced nothing
+  auto second = cache.get_or_build(1, build);
+  EXPECT_TRUE(second.hit);
+  EXPECT_EQ(second.value.get(), first.value.get());
+  const std::weak_ptr<const std::string> held = first.value;
+  first.value.reset();
+  EXPECT_FALSE(held.expired());  // one holder left
+  second.value.reset();
+  EXPECT_TRUE(held.expired());
+  EXPECT_FALSE(cache.get_or_build(1, build).hit);
+  EXPECT_EQ(cache.builds(), 3u);
+}
+
+TEST(SingleFlightCache, KeptWeightNeverExceedsTheBudget) {
+  // Nothing is held here, so the values still alive are the ones the cache
+  // keeps: after every call their weight fits the budget, and the value
+  // just asked for (lighter than the budget) is among them.
+  constexpr std::size_t kBudget = 10;
+  Weighted cache(kBudget);
+  std::map<int, std::weak_ptr<const std::string>> seen;
+  std::uint64_t lcg = 12345;
+  for (int call = 0; call < 400; ++call) {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    const int key = static_cast<int>((lcg >> 33) % 16);
+    const std::size_t length = 1 + static_cast<std::size_t>(key) % 7;
+    seen[key] =
+        cache.get_or_build(key, [&] { return std::string(length, 'x'); })
+            .value;
+    std::size_t alive = 0;
+    for (const auto& [k, weak] : seen) {
+      if (const auto value = weak.lock()) alive += value->size();
+    }
+    ASSERT_LE(alive, kBudget) << "call " << call;
+    ASSERT_FALSE(seen[key].expired()) << "call " << call;
+  }
+  EXPECT_GT(cache.hits(), 0u);
+  EXPECT_GT(cache.builds(), 16u);  // some keys were dropped and rebuilt
+}
+
+/// A key that counts its live copies, so a test can count the entries.
+struct CountedKey {
+  int id = 0;
+  static inline int live = 0;
+  explicit CountedKey(int k) : id(k) { ++live; }
+  CountedKey(const CountedKey& other) : id(other.id) { ++live; }
+  ~CountedKey() { --live; }
+  bool operator<(const CountedKey& other) const { return id < other.id; }
+};
+
+TEST(SingleFlightCache, ExpiredEntriesArePurgedOnInsert) {
+  {
+    SingleFlightCache<CountedKey, std::string> cache(1);
+    const auto build = [] { return std::string("v"); };
+    for (int k = 0; k < 100; ++k) {
+      (void)cache.get_or_build(CountedKey(k), build);
+    }
+    // Each insert purged the entry its predecessor's drop left expired:
+    // the kept key and the one dropped by the last build remain.
+    EXPECT_EQ(CountedKey::live, 2);
+    EXPECT_EQ(cache.size(), 1u);
+    // A held value's entry survives the purge.
+    const auto held = cache.get_or_build(CountedKey(100), build);
+    (void)cache.get_or_build(CountedKey(101), build);
+    (void)cache.get_or_build(CountedKey(102), build);
+    EXPECT_EQ(CountedKey::live, 3);  // 100 (held), 101 (dropped), 102
+    EXPECT_TRUE(cache.get_or_build(CountedKey(100), build).hit);
+  }
+  EXPECT_EQ(CountedKey::live, 0);
+}
+
+TEST(SingleFlightCache, HoldersNeverSeeTwoCopies) {
+  // Threads hold, release and ask for two keys through a one-value budget:
+  // each holds one key's value while it asks for the other, which drops
+  // the held one from the cache. While any thread holds a key's value,
+  // every thread asking for that key must get the same value: a rebuild
+  // while one is held would be a second copy.
+  Cache cache(1);
+  const auto build_for = [](std::uint64_t key) {
+    return [key] { return std::string(1, static_cast<char>('a' + key)); };
+  };
+  std::mutex mu;
+  std::map<std::uint64_t, std::pair<const std::string*, int>> holding;
+  int copies = 0;
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (std::uint64_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load()) std::this_thread::yield();
+      for (std::uint64_t i = 0; i < 2000; ++i) {
+        const std::uint64_t key = (t + i) % 2;
+        auto value = cache.get_or_build({key, 0}, build_for(key)).value;
+        {
+          std::scoped_lock lock(mu);
+          auto& [ptr, holders] = holding[key];
+          if (holders > 0 && ptr != value.get()) ++copies;
+          ptr = value.get();
+          ++holders;
+        }
+        (void)cache.get_or_build({1 - key, 0}, build_for(1 - key));
+        {
+          std::scoped_lock lock(mu);
+          --holding[key].second;
+        }
+        value.reset();
+      }
+    });
+  }
+  go = true;
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(copies, 0);
+  EXPECT_EQ(cache.builds() + cache.hits(), 4u * 2000u * 2u);
 }
 
 }  // namespace
