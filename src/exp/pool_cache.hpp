@@ -14,13 +14,11 @@
 /// pool frees them with its traces.
 ///
 /// It is a util::SingleFlightCache: concurrent misses on one key build the
-/// pool once, and builds for different keys run in parallel. A pool lives
-/// while a run holds its PoolPtr, and every request for its key meanwhile
-/// gets that pool, so two runs over one pool never hold two copies. Beyond
-/// that the cache keeps the most recently used finished pools up to
-/// kKeptBytes of samples. That holds a dozen of the small pools a served
-/// request asks for, so a long-lived process reuses them across configs,
-/// but never a bench-sized pool, which its sweep holds anyway.
+/// pool once, and builds for different keys run in parallel. It keeps the
+/// most recently used finished pools up to kKeptBytes of samples: the last
+/// small pool a served request built, but never a bench-sized pool, which
+/// lives only while its sweep holds the PoolPtr (every bench and CLI
+/// caller asks for its pool once and holds it for the whole sweep).
 
 #include <cstddef>
 #include <cstdint>
@@ -39,9 +37,13 @@ class TracePoolCache {
   using Pool = trace::TracePool;
   using PoolPtr = std::shared_ptr<const Pool>;
 
-  /// Sample bytes of finished pools the cache keeps beyond those runs hold
-  /// (TracePool::sample_bytes; a machine-day is ~0.7 MB).
-  static constexpr std::size_t kKeptBytes = std::size_t{8} << 20;
+  /// Sample bytes of finished pools the cache keeps (TracePool::sample_bytes;
+  /// a machine-day is 0.66 MiB). One MiB keeps one small served pool, such
+  /// as perfbench serve_mix's 4 machines x 6 h (0.66 MiB), so a run that
+  /// asks for the pool just built and released finds it. No caller reads
+  /// an older released pool: a repeat served request is answered from the
+  /// result cache.
+  static constexpr std::size_t kKeptBytes = std::size_t{1} << 20;
 
   /// The standard synthetic pool, defined only here (the CLI, the
   /// registered benches and the served scenarios all use it):
@@ -53,8 +55,8 @@ class TracePoolCache {
   [[nodiscard]] std::size_t builds() const { return cache_.builds(); }
   [[nodiscard]] std::size_t hits() const { return cache_.hits(); }
 
-  /// Forgets every pool, so each key builds again (perfbench's setup; tests).
-  /// Runs keep the pools they hold.
+  /// Drops every finished pool, so each key builds again (perfbench's setup;
+  /// tests). Runs keep the pools they hold.
   void clear() { cache_.clear(); }
 
   /// Publishes exp.pool_cache.{builds,hits} counters into `registry`

@@ -55,25 +55,23 @@ class TracePool {
   [[nodiscard]] std::size_t sample_bytes() const;
 
   /// The derivation under `rule`, built by one pass over the pool on the
-  /// first call for that rule and shared by every later call for it while
-  /// a run holds it or until another rule replaces it (concurrent first
-  /// calls share one build).
+  /// first call for that rule and shared by every later call for it until
+  /// another rule replaces it (concurrent first calls share one build).
   /// Throws std::invalid_argument, on every call, for a rule
   /// RecruitmentRule::validate refuses, an empty pool, an empty trace, or
   /// traces that do not share one period.
   [[nodiscard]] std::shared_ptr<const PoolDerived> derived(
       const RecruitmentRule& rule) const;
 
-  /// Derivations built so far: one per rule, plus a rebuild for each call
-  /// after a failed build and for a replaced rule that no run holds.
+  /// Derivations built so far: one per change of rule, plus a rebuild for
+  /// each call after a failed build.
   [[nodiscard]] std::size_t derivations() const { return derived_.builds(); }
 
  private:
-  /// Derivations kept per pool beyond those runs hold. Outside the tests no
-  /// caller sets a recruitment rule (no flag, bench, scenario or serve field
-  /// does), so a pool is only ever derived under the default rule. A call
-  /// with another rule replaces the kept derivation; while runs hold the
-  /// old one, a call for its rule is still given it.
+  /// Derivations kept per pool. Outside the tests no caller sets a
+  /// recruitment rule (no flag, bench, scenario or serve field does), so a
+  /// pool is only ever derived under the default rule. A call with another
+  /// rule replaces the kept derivation; runs holding the old one keep it.
   static constexpr std::size_t kRulesKept = 1;
 
   std::vector<CoarseTrace> traces_;

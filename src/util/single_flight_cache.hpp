@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file single_flight_cache.hpp
-/// Thread-safe memo of immutable values that are costly to build.
+/// Bounded, thread-safe memo of immutable values that are costly to build.
 ///
 /// Single-flight: each key maps to a shared_future that is inserted before
 /// the build starts, so two threads missing on the same key concurrently
@@ -11,21 +11,16 @@
 /// unrelated callers. A build that throws rethrows in every caller waiting
 /// on it and leaves the key absent, so a later call builds again.
 ///
-/// Residency: once a value is built, its entry keeps only a weak_ptr, so
-/// the value stays findable for exactly as long as someone holds it. Two
-/// callers asking for one key while either holds the value therefore share
-/// one copy, however long ago it was built. On top of that the cache itself
-/// holds the most recently used finished values up to `budget` units of
-/// weight (`Weigh`, 1 per value by default), dropping the least recently
-/// used first; a value heavier than the whole budget is never held by the
-/// cache, only shared while callers hold it. In-flight builds are never
-/// dropped. Entries whose value nobody holds any more are purged when the
-/// next key is inserted.
-///
+/// Bounded: the finished values kept weigh at most `budget` in total
+/// (`Weigh` gives each value's weight; 1 by default, so the budget is then
+/// a count). A finished build becomes the most recently used entry and
+/// evicts the least-recently-used finished entries until the kept weight
+/// fits; a value heavier than the whole budget is not kept and evicts
+/// nothing. In-flight builds weigh nothing and are never evicted, so the
+/// cache may transiently hold more entries while builds overlap.
 /// Values are shared_ptr-to-const: immutable, so callers on any thread may
-/// share them.
+/// share them, and an evicted value lives on while a caller holds it.
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
@@ -35,7 +30,6 @@
 #include <mutex>
 #include <optional>
 #include <utility>
-#include <vector>
 
 namespace ll::util {
 
@@ -57,8 +51,8 @@ class SingleFlightCache {
     bool hit = false;  ///< true when this call did not run the build
   };
 
-  /// `budget` bounds the total weight of the finished values the cache
-  /// itself holds; `weigh(value)` gives each value's weight.
+  /// `budget` bounds the total weight of the finished values kept;
+  /// `weigh(value)` gives each value's weight.
   explicit SingleFlightCache(std::size_t budget, Weigh weigh = {})
       : budget_(budget), weigh_(std::move(weigh)) {}
 
@@ -68,29 +62,20 @@ class SingleFlightCache {
   /// in-flight build count as hits (no work ran on their behalf).
   template <typename Build>
   Outcome get_or_build(const Key& key, Build&& build) {
-    std::vector<ValuePtr> dropped;  // released after the lock
     std::optional<std::promise<ValuePtr>> promise;  // set on a miss only
     std::shared_future<ValuePtr> future;
     {
       std::scoped_lock lock(mu_);
       auto it = entries_.find(key);
-      if (it != entries_.end() && it->second.future.valid()) {
-        // In flight: wait on the builder's future below.
+      if (it != entries_.end()) {
+        // Hit — including an in-flight build, whose future blocks below.
         ++hits_;
         it->second.last_use = ++tick_;
         future = it->second.future;
-      } else if (it != entries_.end()) {
-        if (ValuePtr value = it->second.value.lock()) {
-          ++hits_;
-          keep_locked(it->second, value, dropped);
-          return Outcome{std::move(value), /*hit=*/true};
-        }
-      }
-      if (!future.valid()) {
+      } else {
         ++builds_;
-        purge_expired_locked();  // this key's expired entry too
         future = promise.emplace().get_future().share();
-        entries_.emplace(key, Entry{future, {}, {}, 0, ++tick_});
+        entries_.emplace(key, Entry{future, ++tick_});
       }
     }
     if (!promise) return Outcome{future.get(), /*hit=*/true};
@@ -100,12 +85,7 @@ class SingleFlightCache {
       const std::size_t weight = weigh_(*value);
       promise->set_value(value);
       std::scoped_lock lock(mu_);
-      // Only its builder removes or finishes an in-flight entry.
-      Entry& entry = entries_.find(key)->second;
-      entry.future = {};
-      entry.value = value;
-      entry.weight = weight;
-      keep_locked(entry, value, dropped);
+      keep_locked(key, weight);
       return Outcome{std::move(value), /*hit=*/false};
     } catch (...) {
       // Propagate to every waiter, then drop the key so a later call
@@ -127,72 +107,61 @@ class SingleFlightCache {
     return hits_;
   }
 
-  /// Values the cache holds, plus in-flight builds. Values that only
-  /// callers hold are not counted.
+  /// Resident entries, in-flight builds included.
   [[nodiscard]] std::size_t size() const {
     std::scoped_lock lock(mu_);
-    return static_cast<std::size_t>(
-        std::count_if(entries_.begin(), entries_.end(), [](const auto& kv) {
-          return kv.second.kept || kv.second.future.valid();
-        }));
+    return entries_.size();
   }
 
-  /// Forgets every finished value, so each key builds again (the counters
-  /// keep counting). Callers keep the values they hold, and in-flight
-  /// builds finish as usual.
+  /// Drops every finished entry (the counters keep counting). In-flight
+  /// builds stay, so each is finished by its own builder.
   void clear() {
     std::scoped_lock lock(mu_);
-    std::erase_if(entries_,
-                  [](const auto& kv) { return !kv.second.future.valid(); });
+    std::erase_if(entries_, [](const auto& kv) { return kv.second.ready; });
     kept_weight_ = 0;
   }
 
  private:
   struct Entry {
-    std::shared_future<ValuePtr> future;  ///< valid while the build runs
-    std::weak_ptr<const Value> value;     ///< the finished value
-    ValuePtr kept;  ///< set while the cache itself holds the value
-    std::size_t weight = 0;
+    std::shared_future<ValuePtr> future;
     std::uint64_t last_use = 0;  ///< LRU clock tick of the last lookup
+    bool ready = false;          ///< build finished (evictable)
+    std::size_t weight = 0;      ///< counted in kept_weight_ once ready
   };
 
-  /// Makes `entry` the most recently used, holds its `value` if it fits
-  /// the budget, and then drops the least recently used held values until
-  /// their weight fits. Dropped values go to `dropped`, to be released
-  /// outside the lock. Lock held.
-  void keep_locked(Entry& entry, const ValuePtr& value,
-                   std::vector<ValuePtr>& dropped) {
-    entry.last_use = ++tick_;
-    if (!entry.kept && entry.weight <= budget_) {
-      entry.kept = value;
-      kept_weight_ += entry.weight;
+  /// Finishes `key`'s in-flight entry, which only its builder (the caller)
+  /// erases: drops it if `weight` exceeds the whole budget, else keeps it
+  /// as the most recently used and evicts ready entries, oldest last_use
+  /// first, until the kept weight fits. Lock held.
+  void keep_locked(const Key& key, std::size_t weight) {
+    const auto entry = entries_.find(key);
+    if (weight > budget_) {
+      entries_.erase(entry);
+      return;
     }
+    entry->second.ready = true;
+    entry->second.weight = weight;
+    entry->second.last_use = ++tick_;
+    kept_weight_ += weight;
     while (kept_weight_ > budget_) {
       auto victim = entries_.end();
       for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-        if (it->second.kept &&
-            (victim == entries_.end() ||
-             it->second.last_use < victim->second.last_use)) {
+        if (!it->second.ready) continue;  // never evict an in-flight build
+        if (victim == entries_.end() ||
+            it->second.last_use < victim->second.last_use) {
           victim = it;
         }
       }
       kept_weight_ -= victim->second.weight;
-      dropped.push_back(std::move(victim->second.kept));
+      entries_.erase(victim);
     }
-  }
-
-  /// Erases finished entries whose value nobody holds. Lock held.
-  void purge_expired_locked() {
-    std::erase_if(entries_, [](const auto& kv) {
-      return !kv.second.future.valid() && kv.second.value.expired();
-    });
   }
 
   const std::size_t budget_;
   const Weigh weigh_;
   mutable std::mutex mu_;
   std::map<Key, Entry> entries_;
-  std::size_t kept_weight_ = 0;  ///< total weight of the held values
+  std::size_t kept_weight_ = 0;  ///< total weight of the ready entries
   std::uint64_t tick_ = 0;
   std::size_t builds_ = 0;
   std::size_t hits_ = 0;

@@ -122,37 +122,41 @@ TEST(TracePoolCache, RefusesNonFiniteOrNegativeHoursBeforeTheLookup) {
 }
 
 TEST(TracePoolCache, EvictsLeastRecentlyUsedBeyondCapacity) {
-  // The cache keeps released pools up to kKeptBytes of samples (a dozen
-  // one-machine days); building one more drops the least recently used.
+  // The cache keeps finished pools up to kKeptBytes of samples (eighteen
+  // one-machine two-hour pools); building one more evicts the least
+  // recently used.
   TracePoolCache cache;
-  const std::size_t bytes = cache.standard(1, 24.0, 0)->sample_bytes();
+  const std::size_t bytes = cache.standard(1, 2.0, 0)->sample_bytes();
   const std::uint64_t kept = TracePoolCache::kKeptBytes / bytes;
   ASSERT_GE(kept, 2u);
   for (std::uint64_t seed = 1; seed < kept; ++seed) {
-    (void)cache.standard(1, 24.0, seed);
+    (void)cache.standard(1, 2.0, seed);
   }
-  (void)cache.standard(1, 24.0, 0);     // touch seed 0 -> seed 1 is LRU
-  (void)cache.standard(1, 24.0, kept);  // drops seed 1
+  (void)cache.standard(1, 2.0, 0);     // touch seed 0 -> seed 1 is LRU
+  (void)cache.standard(1, 2.0, kept);  // evicts seed 1
   EXPECT_EQ(cache.builds(), kept + 1);
-  (void)cache.standard(1, 24.0, 0);  // still kept
+  (void)cache.standard(1, 2.0, 0);  // still kept
   EXPECT_EQ(cache.builds(), kept + 1);
-  (void)cache.standard(1, 24.0, 1);  // dropped and released -> rebuilt
+  (void)cache.standard(1, 2.0, 1);  // evicted -> rebuilt
   EXPECT_EQ(cache.builds(), kept + 2);
 }
 
-TEST(TracePoolCache, PoolOverTheByteBudgetIsSharedWhileHeld) {
-  // A bench-sized pool is never kept by the cache, but every request for
-  // it while a run holds it gets the held pool, not a second copy.
+TEST(TracePoolCache, PoolOverTheByteBudgetIsNeverKept) {
+  // A pool over the byte budget (two machine-days, like every bench pool)
+  // lives only while its caller holds it, and evicts no kept pool.
   TracePoolCache cache;
-  auto held = cache.standard(16, 24.0, 9);
+  const std::weak_ptr<const trace::TracePool> small =
+      cache.standard(1, 2.0, 3);
+  auto held = cache.standard(2, 24.0, 9);
   ASSERT_GT(held->sample_bytes(), TracePoolCache::kKeptBytes);
-  EXPECT_EQ(cache.standard(16, 24.0, 9).get(), held.get());
-  EXPECT_EQ(cache.builds(), 1u);
+  EXPECT_FALSE(small.expired());
   const std::weak_ptr<const trace::TracePool> released = held;
   held.reset();
-  EXPECT_TRUE(released.expired());  // freed with its last holder
-  (void)cache.standard(16, 24.0, 9);
-  EXPECT_EQ(cache.builds(), 2u);
+  EXPECT_TRUE(released.expired());  // freed with its caller's PoolPtr
+  (void)cache.standard(2, 24.0, 9);
+  EXPECT_EQ(cache.builds(), 3u);
+  (void)cache.standard(1, 2.0, 3);
+  EXPECT_EQ(cache.hits(), 1u);
 }
 
 TEST(TracePoolCache, ClearDropsEntries) {

@@ -130,26 +130,22 @@ TEST(TracePool, DistinctRulesGetDistinctDerivations) {
   const PoolDerived want_instant = two_pass_reference(traces, instant);
   const TracePool pool(std::move(traces));
   const auto a = pool.derived(paper);
-  auto b = pool.derived(instant);
+  const auto b = pool.derived(instant);
   EXPECT_NE(a.get(), b.get());
   EXPECT_EQ(pool.derivations(), 2u);
   expect_same(*a, want_paper);
   expect_same(*b, want_instant);
   // The one-sample window recruits sooner, so it flags more samples.
   EXPECT_NE(a->idle_flags, b->idle_flags);
-  // One rule is kept, the instant one now. While `a` holds the paper
-  // rule's derivation, going back to that rule shares it.
-  EXPECT_EQ(pool.derived(paper).get(), a.get());
-  EXPECT_EQ(pool.derivations(), 2u);
-  // Kept again, it replaced the instant rule's; once no run holds that
-  // one, going back to the instant rule rebuilds it.
-  const std::weak_ptr<const PoolDerived> released = b;
-  b.reset();
-  EXPECT_TRUE(released.expired());
-  const auto rebuilt = pool.derived(instant);
+  // One rule is kept: going back to the first rebuilds it, while the runs
+  // holding the replaced derivations keep theirs.
+  const auto again = pool.derived(paper);
   EXPECT_EQ(pool.derivations(), 3u);
-  expect_same(*rebuilt, want_instant);
+  expect_same(*again, want_paper);
   expect_same(*a, want_paper);
+  expect_same(*b, want_instant);
+  EXPECT_EQ(pool.derived(paper).get(), again.get());
+  EXPECT_EQ(pool.derivations(), 3u);
 }
 
 TEST(TracePool, NonFiniteRuleThrowsAndLeavesTheCachedRuleAlone) {

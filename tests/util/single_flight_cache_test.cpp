@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -165,7 +164,7 @@ TEST(SingleFlightCache, EvictsLeastRecentlyUsed) {
 
 TEST(SingleFlightCache, MissDoesNotEvictAnInFlightBuild) {
   // At capacity 1, a miss on another key while key 1 builds keeps key 1
-  // (the cache holds two entries until the next miss), and the caller
+  // (the cache holds two entries while key 1 builds), and the caller
   // waiting on key 1 still gets its value.
   Cache cache(1);
   std::atomic<bool> release{false};
@@ -189,25 +188,27 @@ TEST(SingleFlightCache, MissDoesNotEvictAnInFlightBuild) {
   EXPECT_TRUE(waiter.hit);
   EXPECT_EQ(*waiter.value, "one");
   EXPECT_EQ(waiter.value.get(), builder.value.get());
-  // Key 1 stayed resident; the next miss brings the cache back to 1.
+  // Key 1 stayed resident (finishing, it evicted key 2); key 3 evicts it.
   EXPECT_TRUE(cache.get_or_build({1, 0}, slow).hit);
   (void)cache.get_or_build({3, 0}, [] { return std::string("3"); });
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.builds(), 3u);
 }
 
-TEST(SingleFlightCache, HeldValueIsFoundAfterTheBudgetDropsIt) {
-  // At budget 1 the cache keeps only key 2 once it is built, but key 1 is
-  // still held here, so asking for it again shares the held value.
+TEST(SingleFlightCache, EvictedValueLivesOnWhileHeld) {
+  // At budget 1, building key 2 evicts key 1. The caller holding key 1's
+  // value keeps it; asking for key 1 again builds it anew.
   Cache cache(1);
-  const auto build = [] { return std::string("v"); };
-  const auto one = cache.get_or_build({1, 0}, build);
-  (void)cache.get_or_build({2, 0}, build);
+  const auto one = cache.get_or_build({1, 0},
+                                      [] { return std::string("one"); });
+  (void)cache.get_or_build({2, 0}, [] { return std::string("two"); });
   EXPECT_EQ(cache.size(), 1u);
-  const auto again = cache.get_or_build({1, 0}, build);
-  EXPECT_TRUE(again.hit);
-  EXPECT_EQ(again.value.get(), one.value.get());
-  EXPECT_EQ(cache.builds(), 2u);
+  EXPECT_EQ(*one.value, "one");
+  const auto again = cache.get_or_build({1, 0},
+                                        [] { return std::string("one"); });
+  EXPECT_FALSE(again.hit);
+  EXPECT_NE(again.value.get(), one.value.get());
+  EXPECT_EQ(cache.builds(), 3u);
 }
 
 TEST(SingleFlightCache, ReleasedValueBeyondTheBudgetIsFreedAndRebuilt) {
@@ -217,7 +218,7 @@ TEST(SingleFlightCache, ReleasedValueBeyondTheBudgetIsFreedAndRebuilt) {
       cache.get_or_build({1, 0}, build).value;
   EXPECT_FALSE(one.expired());  // the cache keeps it
   (void)cache.get_or_build({2, 0}, build);
-  EXPECT_TRUE(one.expired());  // dropped for key 2, and nobody held it
+  EXPECT_TRUE(one.expired());  // evicted for key 2, and nobody held it
   EXPECT_FALSE(cache.get_or_build({1, 0}, build).hit);
   EXPECT_EQ(cache.builds(), 3u);
 }
@@ -228,23 +229,36 @@ struct Length {
 };
 using Weighted = SingleFlightCache<int, std::string, Length>;
 
-TEST(SingleFlightCache, HeavierThanTheBudgetIsSharedWhileHeldButNeverKept) {
+TEST(SingleFlightCache, FinishedBuildEvictsLeastRecentlyUsedUntilItFits) {
+  Weighted cache(10);
+  const auto of = [](std::size_t n, char c) {
+    return [n, c] { return std::string(n, c); };
+  };
+  (void)cache.get_or_build(1, of(3, 'a'));
+  (void)cache.get_or_build(2, of(4, 'b'));
+  (void)cache.get_or_build(3, of(2, 'c'));  // kept weight 9
+  (void)cache.get_or_build(1, of(3, 'a'));  // touch 1 -> 2, then 3, are LRU
+  (void)cache.get_or_build(4, of(6, 'd'));  // 15: evicts 2 (11), then 3 (9)
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_TRUE(cache.get_or_build(1, of(3, 'a')).hit);
+  EXPECT_TRUE(cache.get_or_build(4, of(6, 'd')).hit);
+  EXPECT_EQ(cache.builds(), 4u);
+  EXPECT_FALSE(cache.get_or_build(3, of(2, 'c')).hit);  // 11: evicts 1
+  EXPECT_FALSE(cache.get_or_build(1, of(3, 'a')).hit);
+}
+
+TEST(SingleFlightCache, HeavierThanTheBudgetIsNeverKeptAndEvictsNothing) {
   Weighted cache(4);
   const std::weak_ptr<const std::string> light =
       cache.get_or_build(2, [] { return std::string("ab"); }).value;
   const auto build = [] { return std::string("heavy!"); };  // weight 6
-  auto first = cache.get_or_build(1, build);
-  EXPECT_EQ(cache.size(), 1u);  // the light value only
-  EXPECT_FALSE(light.expired());  // the heavy value displaced nothing
-  auto second = cache.get_or_build(1, build);
-  EXPECT_TRUE(second.hit);
-  EXPECT_EQ(second.value.get(), first.value.get());
-  const std::weak_ptr<const std::string> held = first.value;
-  first.value.reset();
-  EXPECT_FALSE(held.expired());  // one holder left
-  second.value.reset();
-  EXPECT_TRUE(held.expired());
-  EXPECT_FALSE(cache.get_or_build(1, build).hit);
+  const auto first = cache.get_or_build(1, build);
+  EXPECT_FALSE(first.hit);
+  EXPECT_EQ(cache.size(), 1u);    // the light value only
+  EXPECT_FALSE(light.expired());  // the heavy value evicted nothing
+  const auto second = cache.get_or_build(1, build);
+  EXPECT_FALSE(second.hit);
+  EXPECT_EQ(*first.value, "heavy!");  // still held by its caller
   EXPECT_EQ(cache.builds(), 3u);
 }
 
@@ -271,81 +285,32 @@ TEST(SingleFlightCache, KeptWeightNeverExceedsTheBudget) {
     ASSERT_FALSE(seen[key].expired()) << "call " << call;
   }
   EXPECT_GT(cache.hits(), 0u);
-  EXPECT_GT(cache.builds(), 16u);  // some keys were dropped and rebuilt
+  EXPECT_GT(cache.builds(), 16u);  // some keys were evicted and rebuilt
 }
 
-/// A key that counts its live copies, so a test can count the entries.
-struct CountedKey {
-  int id = 0;
-  static inline int live = 0;
-  explicit CountedKey(int k) : id(k) { ++live; }
-  CountedKey(const CountedKey& other) : id(other.id) { ++live; }
-  ~CountedKey() { --live; }
-  bool operator<(const CountedKey& other) const { return id < other.id; }
-};
-
-TEST(SingleFlightCache, ExpiredEntriesArePurgedOnInsert) {
-  {
-    SingleFlightCache<CountedKey, std::string> cache(1);
-    const auto build = [] { return std::string("v"); };
-    for (int k = 0; k < 100; ++k) {
-      (void)cache.get_or_build(CountedKey(k), build);
-    }
-    // Each insert purged the entry its predecessor's drop left expired:
-    // the kept key and the one dropped by the last build remain.
-    EXPECT_EQ(CountedKey::live, 2);
-    EXPECT_EQ(cache.size(), 1u);
-    // A held value's entry survives the purge.
-    const auto held = cache.get_or_build(CountedKey(100), build);
-    (void)cache.get_or_build(CountedKey(101), build);
-    (void)cache.get_or_build(CountedKey(102), build);
-    EXPECT_EQ(CountedKey::live, 3);  // 100 (held), 101 (dropped), 102
-    EXPECT_TRUE(cache.get_or_build(CountedKey(100), build).hit);
-  }
-  EXPECT_EQ(CountedKey::live, 0);
-}
-
-TEST(SingleFlightCache, HoldersNeverSeeTwoCopies) {
-  // Threads hold, release and ask for two keys through a one-value budget:
-  // each holds one key's value while it asks for the other, which drops
-  // the held one from the cache. While any thread holds a key's value,
-  // every thread asking for that key must get the same value: a rebuild
-  // while one is held would be a second copy.
+TEST(SingleFlightCache, ClearKeepsAnInFlightBuild) {
+  // clear() drops finished entries only: the build in flight finishes into
+  // its own entry, and the budget counts it alone.
   Cache cache(1);
-  const auto build_for = [](std::uint64_t key) {
-    return [key] { return std::string(1, static_cast<char>('a' + key)); };
-  };
-  std::mutex mu;
-  std::map<std::uint64_t, std::pair<const std::string*, int>> holding;
-  int copies = 0;
-  std::atomic<bool> go{false};
-  std::vector<std::thread> threads;
-  for (std::uint64_t t = 0; t < 4; ++t) {
-    threads.emplace_back([&, t] {
-      while (!go.load()) std::this_thread::yield();
-      for (std::uint64_t i = 0; i < 2000; ++i) {
-        const std::uint64_t key = (t + i) % 2;
-        auto value = cache.get_or_build({key, 0}, build_for(key)).value;
-        {
-          std::scoped_lock lock(mu);
-          auto& [ptr, holders] = holding[key];
-          if (holders > 0 && ptr != value.get()) ++copies;
-          ptr = value.get();
-          ++holders;
-        }
-        (void)cache.get_or_build({1 - key, 0}, build_for(1 - key));
-        {
-          std::scoped_lock lock(mu);
-          --holding[key].second;
-        }
-        value.reset();
-      }
+  (void)cache.get_or_build({1, 0}, [] { return std::string("1"); });
+  std::atomic<bool> release{false};
+  Cache::Outcome builder;
+  std::thread a([&] {
+    builder = cache.get_or_build({2, 0}, [&] {
+      while (!release.load()) std::this_thread::yield();
+      return std::string("2");
     });
-  }
-  go = true;
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(copies, 0);
-  EXPECT_EQ(cache.builds() + cache.hits(), 4u * 2000u * 2u);
+  });
+  while (cache.builds() < 2) std::this_thread::yield();
+  cache.clear();
+  EXPECT_EQ(cache.size(), 1u);  // key 2, in flight
+  release = true;
+  a.join();
+  EXPECT_FALSE(builder.hit);
+  EXPECT_TRUE(cache.get_or_build({2, 0}, [] { return std::string("x"); }).hit);
+  EXPECT_FALSE(cache.get_or_build({1, 0}, [] { return std::string("1"); }).hit);
+  EXPECT_EQ(cache.size(), 1u);  // key 1 evicted key 2
+  EXPECT_EQ(cache.builds(), 3u);
 }
 
 }  // namespace
