@@ -11,8 +11,10 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <type_traits>
 
 #include "cluster/experiment.hpp"
+#include "exp/bench_util.hpp"
 #include "exp/drivers.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
@@ -52,18 +54,12 @@ constexpr std::string_view kUsage =
     "  profile   instrumented cluster run: event-loop profile + metrics\n"
     "  trace     flight-recorder capture: Chrome trace-event JSON "
     "(Perfetto)\n"
-    "  faults    compile a fault plan, print its timeline, run one faulty "
-    "scenario\n"
+    "  faults    cluster run that also prints its first replication's "
+    "fault timeline\n"
     "  bench     run a registered experiment sweep (try: bench --list)\n"
     "  serve     long-running sweep service: NDJSON requests over TCP,\n"
     "            batched onto the shared runner, results cached by config "
     "digest\n";
-
-std::vector<const char*> to_argv(const std::vector<std::string>& args) {
-  std::vector<const char*> argv{"llsim"};
-  for (const std::string& a : args) argv.push_back(a.c_str());
-  return argv;
-}
 
 /// Loads every .coarse file in a directory, sorted by name for determinism.
 exp::TracePoolCache::PoolPtr load_trace_dir(const std::string& dir) {
@@ -85,25 +81,8 @@ exp::TracePoolCache::PoolPtr load_trace_dir(const std::string& dir) {
   return std::make_shared<const trace::TracePool>(std::move(traces));
 }
 
-/// Builds the pool either from --traces DIR or synthetically. Synthetic
-/// pools come from the process-wide cache, so repeated runs (and registered
-/// benches using the same dimensions) build each pool exactly once.
-exp::TracePoolCache::PoolPtr pool_from_flags(const std::string& dir,
-                                             std::size_t machines,
-                                             double days, std::uint64_t seed) {
-  if (!dir.empty()) return load_trace_dir(dir);
-  return exp::TracePoolCache::shared().standard(machines, days * 24.0, seed);
-}
-
-/// Formats a replication-count metric: exact for single runs, one decimal
-/// for means across replications.
-std::string count_metric(double mean, std::size_t reps) {
-  return util::fixed(mean, reps > 1 ? 1 : 0);
-}
-
 constexpr std::string_view kQueueFlagHelp =
-    "event-queue backend: heap or calendar (identical results either way; "
-    "calendar is faster at very large node counts)";
+    "event-queue backend: heap or calendar (identical results either way)";
 
 /// Parses a --queue flag value, throwing the subcommand's usage-style error.
 des::QueueBackend parse_queue_flag(std::string_view subcommand,
@@ -114,16 +93,6 @@ des::QueueBackend parse_queue_flag(std::string_view subcommand,
                                 value + "' (heap, calendar)");
   }
   return *backend;
-}
-
-/// Rejects a negative value for a "0 = off" duration flag, which would
-/// otherwise run silently as off.
-void require_nonnegative(std::string_view subcommand, std::string_view flag,
-                         double value) {
-  if (!(value >= 0.0)) {
-    throw std::invalid_argument(std::string(subcommand) + ": --" +
-                                std::string(flag) + " must be >= 0");
-  }
 }
 
 // ---- observability helpers ------------------------------------------------
@@ -139,62 +108,6 @@ void name_cluster_tags(Target& target) {
   target.name_tag(cluster::ClusterSim::kTagCheckpoint, "checkpoint");
 }
 
-/// Instruments one cluster run on either engine and records it into
-/// `manifest` while the simulator is still alive. Both engines get a
-/// metrics registry. The monolithic engine also gets the event-loop
-/// profiler (with named tags) and an optional flight-recorder tracer; the
-/// sharded one reports its barrier/mailbox accounting as the manifest's
-/// "shards" section.
-class RunInstruments {
- public:
-  explicit RunInstruments(obs::RunManifest& manifest,
-                          obs::Tracer* tracer = nullptr) {
-    name_cluster_tags(profiler_);
-    hooks_.monolithic.on_start = [this, tracer](cluster::ClusterSim& sim) {
-      sim.set_metrics(&registry_);
-      sim.set_tracer(tracer);
-      sim.set_sim_observer(&profiler_);
-    };
-    hooks_.monolithic.on_finish = [this, &manifest](cluster::ClusterSim& sim) {
-      // require_conserved: a profiled run double-checks the engine's event
-      // conservation invariant (scheduled == fired + cancelled + pending).
-      manifest.profile =
-          profiler_.snapshot(sim.engine(), /*require_conserved=*/true);
-      profile_table = profiler_.render_table(sim.engine());
-      manifest.metrics = registry_.snapshot(sim.now());
-      sim.set_sim_observer(nullptr);
-      sim.set_metrics(nullptr);
-      sim.set_tracer(nullptr);
-    };
-    hooks_.sharded.on_start = [this](shard::ShardedClusterSim& sim) {
-      sim.set_metrics(&registry_);
-    };
-    hooks_.sharded.on_finish = [this, &manifest](shard::ShardedClusterSim& sim) {
-      manifest.metrics = registry_.snapshot(sim.now());
-      const shard::ShardStats& stats = sim.stats();
-      obs::ShardSection section;
-      section.count = stats.shards;
-      section.windows = stats.windows;
-      section.mailbox_sent = stats.mailbox_sent;
-      section.mailbox_delivered = stats.mailbox_delivered;
-      section.max_barrier_wait_ns = stats.max_barrier_wait_ns;
-      manifest.shards = section;
-      sim.set_metrics(nullptr);
-    };
-  }
-  RunInstruments(const RunInstruments&) = delete;
-  RunInstruments& operator=(const RunInstruments&) = delete;
-
-  [[nodiscard]] const exp::ClusterHooks& hooks() const { return hooks_; }
-
-  std::string profile_table;  ///< the profiler's table (monolithic runs)
-
- private:
-  obs::MetricRegistry registry_;
-  obs::EventLoopProfiler profiler_;
-  exp::ClusterHooks hooks_;
-};
-
 void write_manifest_file(const obs::RunManifest& manifest,
                          const std::string& path) {
   std::ofstream file(path);
@@ -208,8 +121,7 @@ int cmd_traces(const std::vector<std::string>& args, std::ostream& out) {
   auto days = flags.add_double("days", 1.0, "days per machine");
   auto out_dir = flags.add_string("out", "", "output directory (required)");
   auto seed = flags.add_uint64("seed", 42, "RNG seed");
-  auto argv = to_argv(args);
-  flags.parse(static_cast<int>(argv.size()), argv.data());
+  exp::parse_args(flags, "llsim", args);
   if (out_dir->empty()) {
     throw std::invalid_argument("traces: --out is required\n" + flags.usage());
   }
@@ -233,8 +145,7 @@ int cmd_traces(const std::vector<std::string>& args, std::ostream& out) {
 int cmd_analyze(const std::vector<std::string>& args, std::ostream& out) {
   util::Flags flags("llsim analyze", "Availability statistics of traces.");
   auto dir = flags.add_string("dir", "", "directory of .coarse traces");
-  auto argv = to_argv(args);
-  flags.parse(static_cast<int>(argv.size()), argv.data());
+  exp::parse_args(flags, "llsim", args);
   if (dir->empty()) {
     throw std::invalid_argument("analyze: --dir is required\n" + flags.usage());
   }
@@ -271,8 +182,7 @@ int cmd_fit(const std::vector<std::string>& args, std::ostream& out) {
   auto fine = flags.add_string("fine", "", "fine trace file (required)");
   auto out_path = flags.add_string("out", "", "burst-table output (required)");
   auto window = flags.add_double("window", 2.0, "bucketing window (s)");
-  auto argv = to_argv(args);
-  flags.parse(static_cast<int>(argv.size()), argv.data());
+  exp::parse_args(flags, "llsim", args);
   if (fine->empty() || out_path->empty()) {
     throw std::invalid_argument("fit: --fine and --out are required\n" +
                                 flags.usage());
@@ -289,121 +199,227 @@ int cmd_fit(const std::vector<std::string>& args, std::ostream& out) {
   return 0;
 }
 
-int cmd_cluster(const std::vector<std::string>& args, std::ostream& out) {
-  util::Flags flags("llsim cluster",
-                    "Run sequential foreign jobs under a scheduling policy.");
-  const exp::ClusterScenario defaults;
-  auto policy_name = flags.add_string("policy", core::to_string(defaults.policy),
-                                      "LL, LF, IE, PM, or LL-oracle");
-  auto nodes = flags.add_uint64("nodes", defaults.nodes, "cluster size");
-  auto jobs = flags.add_uint64("jobs", defaults.jobs, "foreign jobs");
-  auto demand = flags.add_double("demand", defaults.demand,
-                                 "CPU-seconds per job");
-  auto traces_dir = flags.add_string("traces", "", "trace directory (optional)");
-  auto machines = flags.add_uint64("machines", defaults.machines,
-                                   "synthetic machines if no dir");
-  auto days = flags.add_double("days", defaults.days, "synthetic trace days");
-  auto table_path = flags.add_string("burst-table", "",
-                                     "burst table file (default: built-in)");
-  auto closed = flags.add_double("closed", defaults.closed,
-                                 "if > 0: closed-system run of this many "
-                                 "seconds (throughput mode)");
-  auto pause = flags.add_double("pause-time", defaults.pause,
-                                "PM grace period");
-  auto job_log = flags.add_string("job-log", "",
-                                  "write per-job state transitions as CSV "
-                                  "(open mode only)");
-  auto metrics_out = flags.add_string(
-      "metrics-out", "",
-      "write a run manifest (JSON) from an instrumented re-run of the "
-      "first replication");
-  auto seed = flags.add_uint64("seed", defaults.seed, "RNG seed");
-  auto reps = flags.add_uint64("reps", defaults.reps,
-                               "replications (report means with 95% CIs)");
-  auto workers = flags.add_uint64("workers", 0,
-                                  "worker threads (0 = hardware concurrency)");
-  auto json = flags.add_bool("json", false, "emit the sweep as JSON");
-  auto queue_name = flags.add_string("queue", "heap", kQueueFlagHelp);
-  auto shards = flags.add_uint64(
-      "shards", 0,
-      "run on the conservative time-windowed sharded engine with this many "
-      "shards (0 = monolithic engine); results are shard-count invariant");
-  auto argv = to_argv(args);
-  flags.parse(static_cast<int>(argv.size()), argv.data());
-  require_nonnegative("cluster", "closed", *closed);
+// ---- cluster front ends ---------------------------------------------------
 
-  exp::ClusterScenario sc;
-  sc.policy = core::parse_policy_name(*policy_name);
-  sc.nodes = *nodes;
-  sc.jobs = *jobs;
-  sc.demand = *demand;
-  sc.machines = *machines;
-  sc.days = *days;
-  sc.closed = *closed;
-  sc.pause = *pause;
-  sc.reps = *reps;
-  sc.seed = *seed;
-  exp::ClusterEngine engine;
-  engine.shards = *shards;
-  engine.queue = parse_queue_flag("cluster", *queue_name);
-  engine.runner = &util::TaskRunner::shared();
-  const auto pool = traces_dir->empty() ? sc.pool() : load_trace_dir(*traces_dir);
-  const workload::BurstTable table = table_path->empty()
-                                         ? workload::default_burst_table()
-                                         : workload::load_table(*table_path);
-
-  // The sweep `llsim serve` and `llsim trace` run too. The first
-  // replication also reports its shard accounting for the table below.
-  const std::uint64_t first_seed = exp::replication_seed(sc.seed, 0, 0);
-  shard::ShardStats shard_stats;
-  double shard_window = 0.0;
-  const auto first_run_hooks = [&](std::uint64_t s) {
-    exp::ClusterHooks hooks;
-    if (s == first_seed) {
-      hooks.sharded.on_finish = [&](shard::ShardedClusterSim& sim) {
-        shard_stats = sim.stats();
-        shard_window = sim.window_length();
-      };
+/// The flags every cluster front end shares, registered once: the scenario
+/// field table, the engine flags (--shards, --queue, and --workers for a
+/// sweep) and the pool flags (--traces, --burst-table).
+class RunFlags {
+ public:
+  /// `sweep`: the subcommand runs every replication, so it takes --workers.
+  RunFlags(util::Flags& flags, bool sweep)
+      : scenario_(exp::ClusterScenario::add_flags(flags)),
+        traces_(flags.add_string("traces", "",
+                                 "trace directory (default: the synthetic "
+                                 "pool of --machines x --days)")),
+        burst_table_(flags.add_string("burst-table", "",
+                                      "burst table file (default: built-in)")),
+        queue_(flags.add_string("queue", "heap", kQueueFlagHelp)),
+        shards_(flags.add_uint64("shards", 0,
+                                 "run on the time-windowed sharded engine "
+                                 "with this many shards (0 = monolithic); "
+                                 "results are shard-count invariant")) {
+    if (sweep) {
+      workers_.emplace(flags.add_uint64(
+          "workers", 0, "worker threads (0 = hardware concurrency)"));
     }
-    return hooks;
-  };
-  exp::EngineOptions options;
-  options.jobs = *workers;
-  const exp::SweepResult sweep =
-      exp::run_sweep(sc.spec(engine, pool, table, first_run_hooks), options);
-  const exp::CellResult& cell = sweep.cells.front();
-  const std::size_t n = sc.reps;
-  const auto mean = [&cell](std::string_view metric) {
-    const auto* ci = cell.summary(metric);
-    return ci ? ci->mean : 0.0;
-  };
-
-  // The job log and the manifest each document one concrete run: the first
-  // replication, re-run alone with its sweep-derived seed.
-  if (sc.closed <= 0.0 && !job_log->empty()) {
-    cluster::JobStore job_records;
-    (void)sc.run_one(first_seed, engine, *pool, table, nullptr, &job_records);
-    cluster::write_job_log(job_records, *job_log);
-    out << "wrote job log to " << *job_log << "\n";
   }
-  if (!metrics_out->empty()) {
+
+  /// Reads the parsed flags into `scenario` (validated) and `engine`.
+  void read(std::string_view subcommand) {
+    scenario = scenario_();
+    engine.shards = *shards_;
+    engine.queue = parse_queue_flag(subcommand, *queue_);
+    engine.runner = &util::TaskRunner::shared();
+    workers = workers_ ? **workers_ : 0;
+  }
+
+  /// The first replication's seed: the run every single-run view describes.
+  [[nodiscard]] std::uint64_t first_seed() const {
+    return exp::replication_seed(scenario.seed, 0, 0);
+  }
+
+  /// True when no scenario, engine or pool flag but --queue was changed.
+  [[nodiscard]] bool at_defaults() const {
+    return scenario == exp::ClusterScenario{} && engine.shards == 0 &&
+           workers == 0 && traces_->empty() && burst_table_->empty();
+  }
+
+  /// Runs the scenario's sweep, the one `llsim serve` runs, on the flags'
+  /// pool, burst table and engine. run_sweep joins its own runner before
+  /// returning, so `tracer` is quiescent after.
+  exp::SweepResult sweep(exp::HookFactory hooks,
+                         obs::Tracer* tracer = nullptr) const {
+    const workload::BurstTable table =
+        burst_table_->empty() ? workload::default_burst_table()
+                              : workload::load_table(*burst_table_);
+    exp::EngineOptions options;
+    options.jobs = workers;
+    options.tracer = tracer;
+    const auto pool =
+        traces_->empty() ? scenario.pool() : load_trace_dir(*traces_);
+    return exp::run_sweep(scenario.spec(engine, pool, table, std::move(hooks)),
+                          options);
+  }
+
+  /// A manifest whose config is the scenario's fields and the shard count.
+  [[nodiscard]] obs::RunManifest manifest(std::string tool,
+                                          std::uint64_t seed) const {
     obs::RunManifest manifest;
-    manifest.tool = "llsim cluster";
+    manifest.tool = std::move(tool);
     manifest.version = obs::current_git_describe();
-    manifest.seed = first_seed;
-    manifest.config = {
-        {"policy", std::string(core::to_string(sc.policy))},
-        {"nodes", std::to_string(*nodes)},
-        {"jobs", std::to_string(*jobs)},
-        {"demand", util::format("%g", *demand)},
-        {"closed", util::format("%g", *closed)},
-        {"master_seed", std::to_string(*seed)},
-    };
+    manifest.seed = seed;
+    manifest.config = scenario.config();
     if (engine.shards > 0) {
       manifest.config.emplace_back("shards", std::to_string(engine.shards));
     }
-    RunInstruments instruments(manifest);
-    (void)sc.run_one(first_seed, engine, *pool, table, &instruments.hooks());
+    return manifest;
+  }
+
+  exp::ClusterScenario scenario;
+  exp::ClusterEngine engine;
+  std::size_t workers = 0;
+
+ private:
+  std::function<exp::ClusterScenario()> scenario_;
+  util::Flags::Handle<std::string> traces_;
+  util::Flags::Handle<std::string> burst_table_;
+  util::Flags::Handle<std::string> queue_;
+  util::Flags::Handle<std::uint64_t> shards_;
+  std::optional<util::Flags::Handle<std::uint64_t>> workers_;
+};
+
+template <class Sim>
+constexpr bool kMonolithic =
+    std::is_same_v<std::remove_cvref_t<Sim>, cluster::ClusterSim>;
+
+/// Observes a sweep's first replication: its wall time, shard accounting
+/// and, when kept, fault schedule and job records; given a manifest,
+/// its metrics and the event-loop profile (monolithic engine, with an
+/// optional tracer) or the sharded engine's "shards" section.
+class FirstRun {
+ public:
+  FirstRun(std::uint64_t seed, obs::RunManifest* manifest,
+           obs::Tracer* tracer = nullptr)
+      : seed_(seed), manifest_(manifest), tracer_(tracer) {
+    name_cluster_tags(profiler_);
+  }
+  FirstRun(const FirstRun&) = delete;
+  FirstRun& operator=(const FirstRun&) = delete;
+
+  /// The sweep's hook factory: hooks for the first replication only.
+  [[nodiscard]] exp::HookFactory hooks() {
+    return [this](std::uint64_t s) {
+      if (s != seed_) return exp::ClusterHooks{};
+      const auto on_start = [this](auto& sim) { start(sim); };
+      const auto on_finish = [this](auto& sim) { finish(sim); };
+      return exp::ClusterHooks{{on_start, on_finish}, {on_start, on_finish}};
+    };
+  }
+
+  bool keep_faults = false;
+  bool keep_jobs = false;
+  fault::FaultSchedule faults;
+  cluster::JobStore jobs;
+  shard::ShardStats shard_stats;
+  double shard_window = 0.0;
+  double wall_seconds = 0.0;  ///< from the start hook to the finish hook
+  std::string profile_table;  ///< the profiler's table (monolithic runs)
+
+ private:
+  template <class Sim>
+  void start(Sim& sim) {
+    if (keep_faults) faults = sim.fault_schedule();
+    started_ = std::chrono::steady_clock::now();
+    if (!manifest_) return;
+    sim.set_metrics(&registry_);
+    if constexpr (kMonolithic<Sim>) {
+      sim.set_tracer(tracer_);
+      sim.set_sim_observer(&profiler_);
+    }
+  }
+
+  template <class Sim>
+  void finish(Sim& sim) {
+    wall_seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - started_)
+                       .count();
+    if (keep_jobs) jobs = sim.jobs();
+    if constexpr (!kMonolithic<Sim>) {
+      shard_stats = sim.stats();
+      shard_window = sim.window_length();
+    }
+    if (!manifest_) return;
+    manifest_->metrics = registry_.snapshot(sim.now());
+    sim.set_metrics(nullptr);
+    if constexpr (kMonolithic<Sim>) {
+      // require_conserved: a profiled run double-checks the engine's event
+      // conservation invariant (scheduled == fired + cancelled + pending).
+      manifest_->profile =
+          profiler_.snapshot(sim.engine(), /*require_conserved=*/true);
+      profile_table = profiler_.render_table(sim.engine());
+      sim.set_sim_observer(nullptr);
+      sim.set_tracer(nullptr);
+    } else {
+      manifest_->shards = obs::ShardSection{
+          shard_stats.shards, shard_stats.windows, shard_stats.mailbox_sent,
+          shard_stats.mailbox_delivered, shard_stats.max_barrier_wait_ns};
+    }
+  }
+
+  std::uint64_t seed_;
+  obs::RunManifest* manifest_;
+  obs::Tracer* tracer_;
+  std::chrono::steady_clock::time_point started_;
+  obs::MetricRegistry registry_;
+  obs::EventLoopProfiler profiler_;
+};
+
+/// Sets a manifest's fault summary from the sweep's first replication.
+void record_faults(obs::RunManifest& manifest, const exp::ClusterScenario& sc,
+                   const exp::SweepResult& sweep) {
+  if (!sc.faulty()) return;
+  const exp::RunResult& first = sweep.cells.front().replications.front();
+  manifest.goodput = first.get("goodput");
+  manifest.work_lost = first.get("work_lost");
+}
+
+/// `llsim cluster`, and `llsim faults`: the same sweep, where faults also
+/// prints the first replication's compiled fault timeline.
+int cmd_cluster(const std::vector<std::string>& args, std::ostream& out,
+                bool faults) {
+  const std::string name = faults ? "faults" : "cluster";
+  util::Flags flags("llsim " + name,
+                    faults ? "Run `llsim cluster` and print its first "
+                             "replication's pre-drawn fault timeline first."
+                           : "Run sequential foreign jobs under a scheduling "
+                             "policy.");
+  RunFlags run(flags, /*sweep=*/true);
+  auto job_log = flags.add_string(
+      "job-log", "", "write the first replication's job log (open runs only)");
+  auto metrics_out = flags.add_string(
+      "metrics-out", "",
+      "write a run manifest (JSON) of the instrumented first replication");
+  auto json = flags.add_bool("json", false, "emit the sweep as JSON");
+  exp::parse_args(flags, "llsim", args);
+  run.read(name);
+  const exp::ClusterScenario& sc = run.scenario;
+  if (sc.closed > 0.0 && !job_log->empty()) {
+    throw std::invalid_argument(name + ": --job-log logs open runs only; "
+                                       "drop it or --closed");
+  }
+
+  obs::RunManifest manifest = run.manifest("llsim " + name, run.first_seed());
+  FirstRun first(run.first_seed(), metrics_out->empty() ? nullptr : &manifest);
+  first.keep_faults = faults;
+  first.keep_jobs = !job_log->empty();
+  const exp::SweepResult sweep = run.sweep(first.hooks());
+  if (!job_log->empty()) {
+    cluster::write_job_log(first.jobs, *job_log);
+    out << "wrote job log to " << *job_log << "\n";
+  }
+  if (!metrics_out->empty()) {
+    record_faults(manifest, sc, sweep);
     write_manifest_file(manifest, *metrics_out);
     out << "wrote run manifest to " << *metrics_out << "\n";
   }
@@ -412,52 +428,72 @@ int cmd_cluster(const std::vector<std::string>& args, std::ostream& out) {
     return 0;
   }
 
+  if (faults && sc.fault_plan().empty()) {
+    out << "fault plan is empty — this is the fault-free baseline run\n\n";
+  } else if (faults) {
+    out << "compiled fault timeline (first replication, seed "
+        << run.first_seed() << "):\n";
+    first.faults.write_timeline(out);
+    out << "\n";
+  }
+  const exp::CellResult& cell = sweep.cells.front();
+  const std::size_t n = sc.reps;
+  const auto mean = [&cell](std::string_view metric) {
+    const auto* ci = cell.summary(metric);
+    return ci ? ci->mean : 0.0;
+  };
+  // The mean, with its 95% half-width across replications.
+  const auto with_ci = [&](std::string_view metric, int digits) {
+    return util::fixed(mean(metric), digits) +
+           (n > 1 ? util::format(" ± %.*f", digits,
+                                 cell.summary(metric)->half_width)
+                  : std::string());
+  };
+  // A count: exact for one run, a one-decimal mean across replications.
+  const auto count = [&](std::string_view metric) {
+    return util::fixed(mean(metric), n > 1 ? 1 : 0);
+  };
   util::Table report({"metric", "value"});
   report.add_row({"policy", std::string(core::to_string(sc.policy))});
-  if (engine.shards > 0) {
-    report.add_row({"shards", std::to_string(engine.shards)});
-    report.add_row({"window (s)", util::format("%g", shard_window)});
-    report.add_row({"windows run", std::to_string(shard_stats.windows)});
-    report.add_row(
-        {"mailbox sent / delivered",
-         util::format(
-             "%llu / %llu",
-             static_cast<unsigned long long>(shard_stats.mailbox_sent),
-             static_cast<unsigned long long>(shard_stats.mailbox_delivered))});
+  if (run.engine.shards > 0) {
+    const shard::ShardStats& stats = first.shard_stats;
+    report.add_row({"shards", std::to_string(run.engine.shards)});
+    report.add_row({"window (s)", util::format("%g", first.shard_window)});
+    report.add_row({"windows run", std::to_string(stats.windows)});
+    report.add_row({"mailbox sent / delivered",
+                    std::to_string(stats.mailbox_sent) + " / " +
+                        std::to_string(stats.mailbox_delivered)});
     report.add_row(
         {"max barrier wait (us)",
          util::format("%.1f",
-                      static_cast<double>(shard_stats.max_barrier_wait_ns) /
-                          1e3)});
+                      static_cast<double>(stats.max_barrier_wait_ns) / 1e3)});
   }
   if (n > 1) report.add_row({"replications", std::to_string(n)});
   if (sc.closed > 0.0) {
     report.add_row({"mode", util::format("closed (%.0f s)", sc.closed)});
-    std::string throughput = util::fixed(mean("throughput"), 2);
-    if (n > 1) {
-      throughput +=
-          util::format(" ± %.2f", cell.summary("throughput")->half_width);
-    }
-    report.add_row({"throughput (cpu-s/s)", throughput});
-    report.add_row({"completions", count_metric(mean("completed"), n)});
-    report.add_row({"migrations", count_metric(mean("migrations"), n)});
-    report.add_row({"foreground delay", util::percent(mean("fg_delay"), 2)});
+    report.add_row({"throughput (cpu-s/s)", with_ci("throughput", 2)});
+    report.add_row({"completions", count("completed")});
   } else {
     report.add_row({"mode", "open (family)"});
-    std::string avg_job = util::fixed(mean("avg_job"), 1);
-    if (n > 1) {
-      avg_job += util::format(" ± %.1f", cell.summary("avg_job")->half_width);
-    }
-    report.add_row({"avg job (s)", avg_job});
+    report.add_row({"avg job (s)", with_ci("avg_job", 1)});
     report.add_row({"p50 / p90 (s)",
                     util::format("%.1f / %.1f", mean("p50"), mean("p90"))});
     report.add_row({"variation", util::percent(mean("variation"), 1)});
     report.add_row({"family time (s)", util::fixed(mean("family"), 1)});
-    report.add_row({"migrations", count_metric(mean("migrations"), n)});
-    report.add_row({"foreground delay", util::percent(mean("fg_delay"), 2)});
+  }
+  report.add_row({"migrations", count("migrations")});
+  report.add_row({"foreground delay", util::percent(mean("fg_delay"), 2)});
+  if (sc.closed <= 0.0) {
     report.add_row({"avg queued/running/lingering (s)",
                     util::format("%.0f / %.0f / %.0f", mean("queued"),
                                  mean("running"), mean("lingering"))});
+  }
+  if (sc.faulty()) {
+    report.add_row({"crashes", count("crashes")});
+    report.add_row({"restarts (re-queued jobs)", count("restarts")});
+    report.add_row({"checkpoints taken", count("checkpoints")});
+    report.add_row({"work lost (cpu-s)", util::fixed(mean("work_lost"), 1)});
+    report.add_row({"goodput", util::percent(mean("goodput"), 2)});
   }
   out << report.render();
   return 0;
@@ -489,8 +525,7 @@ int cmd_parallel(const std::vector<std::string>& args, std::ostream& out) {
       "first replication");
   auto json = flags.add_bool("json", false, "emit the sweep as JSON");
   auto queue_name = flags.add_string("queue", "heap", kQueueFlagHelp);
-  auto argv = to_argv(args);
-  flags.parse(static_cast<int>(argv.size()), argv.data());
+  exp::parse_args(flags, "llsim", args);
 
   const auto policy = parse_width_policy(*policy_name);
   if (!policy) {
@@ -498,7 +533,10 @@ int cmd_parallel(const std::vector<std::string>& args, std::ostream& out) {
         "parallel: unknown policy '" + *policy_name +
         "' (reconfigure, fixed-linger, hybrid)");
   }
-  const auto pool = pool_from_flags(*traces_dir, *machines, *days, *seed + 1);
+  const auto pool = traces_dir->empty()
+                        ? exp::TracePoolCache::shared().standard(
+                              *machines, *days * 24.0, *seed + 1)
+                        : load_trace_dir(*traces_dir);
 
   exp::ParallelCellSpec cell_spec;
   cell_spec.cluster.node_count = *nodes;
@@ -582,7 +620,8 @@ int cmd_parallel(const std::vector<std::string>& args, std::ostream& out) {
         util::format(" ± %.2f", cell.summary("work_per_s")->half_width);
   }
   report.add_row({"work delivered (cpu-s/s)", delivered});
-  report.add_row({"jobs completed", count_metric(mean("completed"), n)});
+  report.add_row(
+      {"jobs completed", util::fixed(mean("completed"), n > 1 ? 1 : 0)});
   if (mean("completed") > 0.0) {
     report.add_row({"mean turnaround (s)",
                     util::fixed(mean("mean_turnaround"), 1)});
@@ -595,73 +634,33 @@ int cmd_parallel(const std::vector<std::string>& args, std::ostream& out) {
 int cmd_profile(const std::vector<std::string>& args, std::ostream& out) {
   util::Flags flags(
       "llsim profile",
-      "Run one instrumented cluster simulation and report where it goes: "
-      "per-tag event-loop profile, sim-time metrics, optional timeline of "
-      "the last tracer records.");
-  const exp::ClusterScenario defaults;
-  auto policy_name = flags.add_string("policy", core::to_string(defaults.policy),
-                                      "LL, LF, IE, PM, or LL-oracle");
-  auto nodes = flags.add_uint64("nodes", defaults.nodes, "cluster size");
-  auto jobs = flags.add_uint64("jobs", defaults.jobs, "foreign jobs");
-  auto demand = flags.add_double("demand", defaults.demand,
-                                 "CPU-seconds per job");
-  auto closed = flags.add_double("closed", defaults.closed,
-                                 "if > 0: closed-system run of this many "
-                                 "seconds");
-  auto traces_dir = flags.add_string("traces", "", "trace directory (optional)");
-  auto machines = flags.add_uint64("machines", defaults.machines,
-                                   "synthetic machines if no dir");
-  auto days = flags.add_double("days", defaults.days, "synthetic trace days");
+      "Run the first replication of a cluster scenario instrumented and "
+      "report where it goes: per-tag event-loop profile, sim-time metrics, "
+      "optional timeline of the last tracer records.");
+  RunFlags run(flags, /*sweep=*/false);
   auto timeline = flags.add_uint64(
       "timeline", 0,
       "if > 0: trace the run and print its last N job/node transitions");
   auto metrics_out = flags.add_string("metrics-out", "",
                                       "also write a run manifest (JSON)");
-  auto seed = flags.add_uint64("seed", defaults.seed, "RNG seed");
   auto json = flags.add_bool("json", false,
                              "emit the manifest JSON to stdout instead of "
                              "tables");
-  auto queue_name = flags.add_string("queue", "heap", kQueueFlagHelp);
-  auto argv = to_argv(args);
-  flags.parse(static_cast<int>(argv.size()), argv.data());
-  require_nonnegative("profile", "closed", *closed);
-
-  exp::ClusterScenario sc;
-  sc.policy = core::parse_policy_name(*policy_name);
-  sc.nodes = *nodes;
-  sc.jobs = *jobs;
-  sc.demand = *demand;
-  sc.machines = *machines;
-  sc.days = *days;
-  sc.closed = *closed;
-  sc.seed = *seed;
-  exp::ClusterEngine engine;
-  engine.queue = parse_queue_flag("profile", *queue_name);
-  const auto pool = traces_dir->empty() ? sc.pool() : load_trace_dir(*traces_dir);
-
+  exp::parse_args(flags, "llsim", args);
+  run.read("profile");
+  const exp::ClusterScenario& sc = run.scenario;
+  if (sc.reps != 1 || run.engine.shards > 0) {
+    throw std::invalid_argument(
+        "profile: the event-loop profiler observes one monolithic-engine run; "
+        "--reps must be 1 and --shards 0");
+  }
   // --timeline=N: a flight recorder whose ring keeps the last N records
   // (at least 2: the tracer clamps its ring).
   std::optional<obs::Tracer> tracer;
   if (*timeline > 0) tracer.emplace(*timeline);
-  obs::RunManifest manifest;
-  manifest.tool = "llsim profile";
-  manifest.version = obs::current_git_describe();
-  manifest.seed = *seed;
-  manifest.config = {
-      {"policy", std::string(core::to_string(sc.policy))},
-      {"nodes", std::to_string(*nodes)},
-      {"jobs", std::to_string(*jobs)},
-      {"demand", util::format("%g", *demand)},
-      {"closed", util::format("%g", *closed)},
-  };
-  RunInstruments instruments(manifest, tracer ? &*tracer : nullptr);
-  const auto wall_start = std::chrono::steady_clock::now();
-  (void)sc.run_one(sc.seed, engine, *pool, workload::default_burst_table(),
-                   &instruments.hooks());
-  const double run_wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
+  obs::RunManifest manifest = run.manifest("llsim profile", run.first_seed());
+  FirstRun first(run.first_seed(), &manifest, tracer ? &*tracer : nullptr);
+  record_faults(manifest, sc, run.sweep(first.hooks()));
   const obs::ProfileSnapshot& profile = *manifest.profile;
 
   obs::Tracer::Snapshot snap;
@@ -669,40 +668,33 @@ int cmd_profile(const std::vector<std::string>& args, std::ostream& out) {
     snap = tracer->snapshot();
     manifest.trace = obs::TraceStats{snap.recorded, snap.dropped};
   }
-  if (!metrics_out->empty()) {
-    write_manifest_file(manifest, *metrics_out);
-  }
+  if (!metrics_out->empty()) write_manifest_file(manifest, *metrics_out);
   if (*json) {
     obs::write_manifest_json(manifest, out);
     return 0;
   }
 
-  out << "event-loop profile (" << *policy_name << ", " << *nodes
-      << " nodes, " << *jobs << " jobs"
-      << (*closed > 0.0 ? util::format(", closed %.0f s", *closed)
-                        : std::string(", open"))
+  out << "event-loop profile (" << core::to_string(sc.policy) << ", "
+      << sc.nodes << " nodes, " << sc.jobs << " jobs"
+      << (sc.closed > 0.0 ? util::format(", closed %.0f s", sc.closed)
+                          : std::string(", open"))
       << "):\n"
-      << instruments.profile_table << "\n";
-  // Wall-clock bracket of the whole run vs the callback share the profiler
-  // attributed — the difference is engine/queue overhead plus setup.
+      << first.profile_table << "\n";
+  // Wall-clock bracket of the run vs the callback share the profiler
+  // attributed — the difference is engine/queue overhead.
+  const double run_wall = first.wall_seconds;
+  const double callbacks = profile.total_wall_seconds;
+  const double per_wall_s = run_wall > 0.0 ? 1.0 / run_wall : 0.0;
   util::Table wall_table({"wall clock", "value"});
   wall_table.add_row({"run total (ms)", util::format("%.2f", run_wall * 1e3)});
-  wall_table.add_row({"event callbacks (ms)",
-                      util::format("%.2f", profile.total_wall_seconds *
-                                               1e3)});
   wall_table.add_row(
-      {"callback share",
-       util::percent(run_wall > 0.0
-                         ? profile.total_wall_seconds / run_wall
-                         : 0.0,
-                     1)});
+      {"event callbacks (ms)", util::format("%.2f", callbacks * 1e3)});
+  wall_table.add_row(
+      {"callback share", util::percent(callbacks * per_wall_s, 1)});
   wall_table.add_row(
       {"events per wall second",
        util::format("%.0f",
-                    run_wall > 0.0
-                        ? static_cast<double>(profile.total_fired) /
-                              run_wall
-                        : 0.0)});
+                    static_cast<double>(profile.total_fired) * per_wall_s)});
   out << wall_table.render() << "\n";
   util::Table metrics_table({"metric", "kind", "value", "mean"});
   for (const obs::MetricSample& s : manifest.metrics) {
@@ -747,46 +739,36 @@ int cmd_trace(const std::vector<std::string>& args, std::ostream& out) {
       "Capture a flight-recorder trace as Chrome trace-event JSON "
       "(loadable in Perfetto / chrome://tracing; summarize with lltrace). "
       "With --scenario, traces one pinned verify scenario and reports its "
-      "digest; otherwise runs an instrumented cluster sweep covering all "
-      "four instrumented layers (DES fires, runner, cluster, exp cells).");
+      "digest; otherwise runs the `llsim cluster` sweep with all four "
+      "instrumented layers attached (DES fires, runner, cluster, exp "
+      "cells).");
+  RunFlags run(flags, /*sweep=*/true);
   auto scenario = flags.add_string(
-      "scenario", "", "pinned verify scenario to trace (llverify --list)");
+      "scenario", "",
+      "pinned verify scenario to trace (llverify --list); takes no scenario, "
+      "engine or pool flag but --queue");
   auto out_path = flags.add_string("out", "",
                                    "trace JSON output path (required)");
   auto ring = flags.add_uint64("ring", 1 << 16,
                                "per-thread ring capacity in records "
                                "(flight recorder: oldest overwritten)");
-  auto policy_name = flags.add_string("policy", "LL",
-                                      "LL, LF, IE, PM, or LL-oracle");
-  auto nodes = flags.add_uint64("nodes", 16, "cluster size (sweep mode)");
-  auto jobs = flags.add_uint64("jobs", 32, "foreign jobs (sweep mode)");
-  auto demand = flags.add_double("demand", 600.0, "CPU-seconds per job");
-  auto machines = flags.add_uint64("machines", 16, "synthetic trace machines");
-  auto days = flags.add_double("days", 1.0, "synthetic trace days");
-  auto reps = flags.add_uint64("reps", 2, "replications (sweep mode)");
-  auto workers = flags.add_uint64("workers", 2,
-                                  "worker threads (0 = hardware concurrency)");
-  auto seed = flags.add_uint64("seed", 42, "RNG seed (sweep mode)");
   auto metrics_out = flags.add_string(
       "metrics-out", "", "also write a run manifest with trace accounting");
-  auto queue_name = flags.add_string("queue", "heap", kQueueFlagHelp);
-  auto shards = flags.add_uint64(
-      "shards", 0,
-      "sweep mode: trace the sharded engine with this many shards "
-      "(shard:<k> spans + shard.barrier instants; 0 = monolithic)");
-  auto argv = to_argv(args);
-  flags.parse(static_cast<int>(argv.size()), argv.data());
+  exp::parse_args(flags, "llsim", args);
+  run.read("trace");
   if (out_path->empty()) {
     throw std::invalid_argument("trace: --out is required\n" + flags.usage());
   }
-  if (*ring < 2) {
-    throw std::invalid_argument("trace: --ring must be >= 2");
-  }
+  if (*ring < 2) throw std::invalid_argument("trace: --ring must be >= 2");
 
   obs::Tracer tracer(*ring);
-  std::vector<std::pair<std::string, std::string>> config;
-
+  obs::RunManifest manifest = run.manifest("llsim trace", run.scenario.seed);
   if (!scenario->empty()) {
+    if (!run.at_defaults()) {
+      throw std::invalid_argument(
+          "trace: --scenario replays a pinned verify scenario; of the "
+          "scenario, engine and pool flags it takes only --queue");
+    }
     // Scenario mode: the pinned verify scenario with the tracer's observer
     // chained in front of the digest/invariant chain — the digest printed
     // here must equal the committed golden (tracing is observational only).
@@ -796,7 +778,7 @@ int cmd_trace(const std::vector<std::string>& args, std::ostream& out) {
                                   "' (see llverify --list)");
     }
     verify::ScenarioOptions options;
-    options.queue = parse_queue_flag("trace", *queue_name);
+    options.queue = run.engine.queue;
     std::vector<std::unique_ptr<obs::TracingObserver>> observers;
     options.wrap_observer = [&](des::SimObserver* inner) {
       observers.push_back(
@@ -807,8 +789,8 @@ int cmd_trace(const std::vector<std::string>& args, std::ostream& out) {
       sim.set_tracer(&tracer);
     };
     const verify::ScenarioResult result = sc->run(options);
-    config = {{"scenario", *scenario},
-              {"ring", std::to_string(*ring)}};
+    manifest.seed = verify::kGoldenSeed;
+    manifest.config = {{"scenario", *scenario}};
     out << "scenario " << sc->name << ": digest " << result.digest.hex()
         << ", " << result.events << " events, " << result.checks
         << " invariant checks\n";
@@ -818,64 +800,27 @@ int cmd_trace(const std::vector<std::string>& args, std::ostream& out) {
     // shard:<k> window spans and shard.barrier instants on the sharded
     // engine), per-cell spans, and the work-stealing runner's
     // batch/steal/suspend spans.
-    exp::ClusterScenario sc;
-    sc.policy = core::parse_policy_name(*policy_name);
-    sc.nodes = *nodes;
-    sc.jobs = *jobs;
-    sc.demand = *demand;
-    sc.machines = *machines;
-    sc.days = *days;
-    sc.reps = *reps;
-    sc.seed = *seed;
-    exp::ClusterEngine engine;
-    engine.shards = *shards;
-    engine.queue = parse_queue_flag("trace", *queue_name);
-    engine.runner = &util::TaskRunner::shared();
     const auto traced_run = [&tracer](std::uint64_t) {
       // Per-replication fire-span observer, confined to the task running
       // it and detached before the simulator dies.
       auto observer = std::make_shared<obs::TracingObserver>(&tracer);
       name_cluster_tags(*observer);
-      exp::ClusterHooks hooks;
-      hooks.monolithic.on_start = [&tracer,
-                                   observer](cluster::ClusterSim& sim) {
+      const auto on_start = [&tracer, observer](auto& sim) {
         sim.set_tracer(&tracer);
-        sim.set_sim_observer(observer.get());
+        if constexpr (kMonolithic<decltype(sim)>) {
+          sim.set_sim_observer(observer.get());
+        }
       };
-      hooks.monolithic.on_finish = [](cluster::ClusterSim& sim) {
-        sim.set_sim_observer(nullptr);
+      const auto on_finish = [](auto& sim) {
+        if constexpr (kMonolithic<decltype(sim)>) sim.set_sim_observer(nullptr);
         sim.set_tracer(nullptr);
       };
-      hooks.sharded.on_start = [&tracer](shard::ShardedClusterSim& sim) {
-        sim.set_tracer(&tracer);
-      };
-      hooks.sharded.on_finish = [](shard::ShardedClusterSim& sim) {
-        sim.set_tracer(nullptr);
-      };
-      return hooks;
+      return exp::ClusterHooks{{on_start, on_finish}, {on_start, on_finish}};
     };
-    exp::EngineOptions options;
-    options.jobs = *workers;
-    options.tracer = &tracer;
-    // run_sweep destroys its local runner before returning, so the tracer
-    // is quiescent here and safe to export.
-    (void)exp::run_sweep(
-        sc.spec(engine, sc.pool(), workload::default_burst_table(),
-                traced_run),
-        options);
-    config = {
-        {"policy", std::string(core::to_string(sc.policy))},
-        {"nodes", std::to_string(*nodes)},
-        {"jobs", std::to_string(*jobs)},
-        {"reps", std::to_string(*reps)},
-        {"workers", std::to_string(*workers)},
-        {"ring", std::to_string(*ring)},
-        {"master_seed", std::to_string(*seed)},
-    };
-    if (*shards > 0) {
-      config.emplace_back("shards", std::to_string(*shards));
-    }
+    (void)run.sweep(traced_run, &tracer);
+    manifest.config.emplace_back("workers", std::to_string(run.workers));
   }
+  manifest.config.emplace_back("ring", std::to_string(*ring));
 
   const obs::Tracer::Snapshot snap = tracer.snapshot();
   {
@@ -890,155 +835,9 @@ int cmd_trace(const std::vector<std::string>& args, std::ostream& out) {
       << " thread ring(s)) to " << *out_path << "\n";
 
   if (!metrics_out->empty()) {
-    obs::RunManifest manifest;
-    manifest.tool = "llsim trace";
-    manifest.version = obs::current_git_describe();
-    manifest.seed = scenario->empty() ? *seed : verify::kGoldenSeed;
-    manifest.config = std::move(config);
-    obs::TraceStats trace_stats;
-    trace_stats.tracer_recorded = snap.recorded;
-    trace_stats.tracer_dropped = snap.dropped;
-    manifest.trace = trace_stats;
+    manifest.trace = obs::TraceStats{snap.recorded, snap.dropped};
     write_manifest_file(manifest, *metrics_out);
     out << "wrote run manifest to " << *metrics_out << "\n";
-  }
-  return 0;
-}
-
-int cmd_faults(const std::vector<std::string>& args, std::ostream& out) {
-  util::Flags flags("llsim faults",
-                    "Compile a fault plan, print its pre-drawn timeline, and "
-                    "run one faulty cluster scenario.");
-  auto policy_name = flags.add_string("policy", "LL",
-                                      "LL, LF, IE, PM, or LL-oracle");
-  auto nodes = flags.add_uint64("nodes", 16, "cluster size");
-  auto jobs = flags.add_uint64("jobs", 32, "foreign jobs");
-  auto demand = flags.add_double("demand", 600.0, "CPU-seconds per job");
-  auto mtbf = flags.add_double(
-      "mtbf", 1800.0, "per-node mean time between crashes (s, 0 = none)");
-  auto downtime = flags.add_double("downtime", 120.0,
-                                   "mean crash downtime (s)");
-  auto drop = flags.add_double("drop", 0.05,
-                               "migration-link drop probability");
-  auto checkpoint = flags.add_double("checkpoint", 600.0,
-                                     "checkpoint interval (s, 0 = off)");
-  auto storm_every = flags.add_double(
-      "storm-every", 0.0, "mean s between reclamation storms (0 = off)");
-  auto pressure_every = flags.add_double(
-      "pressure-every", 0.0,
-      "mean s between memory-pressure spikes (0 = off)");
-  auto closed = flags.add_double("closed", 0.0,
-                                 "if > 0: closed-system run of this many "
-                                 "seconds (throughput mode)");
-  auto traces_dir = flags.add_string("traces", "", "trace directory (optional)");
-  auto machines =
-      flags.add_uint64("machines", 16, "synthetic machines if no dir");
-  auto days = flags.add_double("days", 1.0, "synthetic trace days");
-  auto metrics_out = flags.add_string("metrics-out", "",
-                                      "also write a run manifest (JSON)");
-  auto seed = flags.add_uint64("seed", 42, "RNG seed");
-  auto queue_name = flags.add_string("queue", "heap", kQueueFlagHelp);
-  auto argv = to_argv(args);
-  flags.parse(static_cast<int>(argv.size()), argv.data());
-  require_nonnegative("faults", "mtbf", *mtbf);
-  require_nonnegative("faults", "storm-every", *storm_every);
-  require_nonnegative("faults", "pressure-every", *pressure_every);
-  require_nonnegative("faults", "closed", *closed);
-
-  const core::PolicyKind policy = core::parse_policy_name(*policy_name);
-
-  cluster::ExperimentConfig cfg;
-  cfg.cluster.node_count = *nodes;
-  cfg.cluster.queue = parse_queue_flag("faults", *queue_name);
-  cfg.cluster.policy = policy;
-  cfg.workload = cluster::WorkloadSpec{*jobs, *demand};
-  cfg.seed = *seed;
-  if (*mtbf > 0.0) {
-    cfg.cluster.faults.crash.arrivals = fault::ArrivalProcess::exponential(
-        static_cast<double>(cfg.cluster.node_count) / *mtbf);
-    cfg.cluster.faults.crash.mean_downtime = *downtime;
-  }
-  cfg.cluster.faults.link.drop_probability = *drop;
-  if (*storm_every > 0.0) {
-    cfg.cluster.faults.storm.arrivals =
-        fault::ArrivalProcess::exponential(1.0 / *storm_every);
-  }
-  if (*pressure_every > 0.0) {
-    cfg.cluster.faults.pressure.arrivals =
-        fault::ArrivalProcess::exponential(1.0 / *pressure_every);
-  }
-  cfg.cluster.checkpoint.interval = *checkpoint;
-  // Refuse an unbounded fault plan before spending time on the pool.
-  cfg.cluster.faults.validate();
-  const auto pool = pool_from_flags(*traces_dir, *machines, *days, *seed + 1);
-
-  obs::MetricRegistry registry;
-  std::vector<obs::MetricSample> metrics;
-  cluster::RunHooks hooks;
-  hooks.on_start = [&](cluster::ClusterSim& sim) {
-    if (cfg.cluster.faults.empty()) {
-      out << "fault plan is empty — this is the fault-free baseline run\n\n";
-    } else {
-      out << "compiled fault timeline (seed " << *seed << "):\n";
-      sim.fault_schedule().write_timeline(out);
-      out << "\n";
-    }
-    sim.set_metrics(&registry);
-  };
-  hooks.on_finish = [&](cluster::ClusterSim& sim) {
-    metrics = registry.snapshot(sim.now());
-    sim.set_metrics(nullptr);
-  };
-  const cluster::ClusterReport report =
-      *closed > 0.0
-          ? cluster::run_closed(cfg, *pool, workload::default_burst_table(),
-                                *closed, &hooks)
-          : cluster::run_open(cfg, *pool, workload::default_burst_table(),
-                              nullptr, &hooks);
-
-  util::Table table({"metric", "value"});
-  table.add_row({"policy", std::string(core::to_string(policy))});
-  table.add_row({"mode", *closed > 0.0
-                             ? util::format("closed (%.0f s)", *closed)
-                             : std::string("open (family)")});
-  if (*closed > 0.0) {
-    table.add_row({"throughput (cpu-s/s)", util::fixed(report.throughput, 2)});
-  } else {
-    table.add_row({"avg job (s)", util::fixed(report.avg_completion, 1)});
-    table.add_row({"family time (s)", util::fixed(report.family_time, 1)});
-  }
-  table.add_row({"crashes", std::to_string(report.crashes)});
-  table.add_row({"restarts (re-queued jobs)", std::to_string(report.restarts)});
-  table.add_row({"checkpoints taken", std::to_string(report.checkpoints)});
-  table.add_row({"work lost (cpu-s)", util::fixed(report.work_lost, 1)});
-  table.add_row({"goodput", util::percent(report.goodput, 2)});
-  table.add_row({"migrations", std::to_string(report.migrations)});
-  table.add_row({"foreground delay", util::percent(report.foreground_delay, 2)});
-  out << table.render();
-
-  if (!metrics_out->empty()) {
-    obs::RunManifest manifest;
-    manifest.tool = "llsim faults";
-    manifest.version = obs::current_git_describe();
-    manifest.seed = *seed;
-    manifest.config = {
-        {"policy", std::string(core::to_string(policy))},
-        {"nodes", std::to_string(*nodes)},
-        {"jobs", std::to_string(*jobs)},
-        {"demand", util::format("%g", *demand)},
-        {"mtbf", util::format("%g", *mtbf)},
-        {"downtime", util::format("%g", *downtime)},
-        {"drop", util::format("%g", *drop)},
-        {"checkpoint", util::format("%g", *checkpoint)},
-        {"storm_every", util::format("%g", *storm_every)},
-        {"pressure_every", util::format("%g", *pressure_every)},
-        {"closed", util::format("%g", *closed)},
-    };
-    manifest.metrics = std::move(metrics);
-    manifest.goodput = report.goodput;
-    manifest.work_lost = report.work_lost;
-    write_manifest_file(manifest, *metrics_out);
-    out << "\nwrote run manifest to " << *metrics_out << "\n";
   }
   return 0;
 }
@@ -1079,8 +878,7 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out) {
   auto workers = flags.add_uint64("workers", 0,
                                   "dedicated runner threads (0 = the shared "
                                   "hardware-sized pool)");
-  auto argv = to_argv(args);
-  flags.parse(static_cast<int>(argv.size()), argv.data());
+  exp::parse_args(flags, "llsim", args);
   // Values the server would narrow or could never honour: an out-of-range
   // port wraps to another one, a zero batch bound never dispatches (and so
   // never drains on shutdown), a zero queue rejects every request, a zero
@@ -1178,11 +976,11 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
     if (cmd == "traces") return cmd_traces(rest, out);
     if (cmd == "analyze") return cmd_analyze(rest, out);
     if (cmd == "fit") return cmd_fit(rest, out);
-    if (cmd == "cluster") return cmd_cluster(rest, out);
+    if (cmd == "cluster") return cmd_cluster(rest, out, /*faults=*/false);
     if (cmd == "parallel") return cmd_parallel(rest, out);
     if (cmd == "profile") return cmd_profile(rest, out);
     if (cmd == "trace") return cmd_trace(rest, out);
-    if (cmd == "faults") return cmd_faults(rest, out);
+    if (cmd == "faults") return cmd_cluster(rest, out, /*faults=*/true);
     if (cmd == "serve") return cmd_serve(rest, out);
     if (cmd == "bench") return exp::run_bench_cli(rest, out, err);
     err << "llsim: unknown subcommand '" << cmd << "'\n\n" << kUsage;

@@ -1,10 +1,10 @@
 #pragma once
 
 /// \file bench_util.hpp
-/// Internal helpers shared by the registered benches: the banner, the
-/// standard flag set of the engine sweeps (--seed/--reps/--jobs/--csv/--json)
-/// and their common emit path (banner + table, or JSON to stdout, or CSV to
-/// a file).
+/// Internal helpers shared by the registered benches: the banner, argument
+/// parsing (llsim's subcommands use it too), the standard flag set of the
+/// engine sweeps (--seed/--reps/--jobs/--csv/--json) and their common emit
+/// path (banner + table, or JSON to stdout, or CSV to a file).
 
 #include <cstdint>
 #include <fstream>

@@ -41,6 +41,14 @@ RunResult cluster_cell(const cluster::ExperimentConfig& config,
   return r;
 }
 
+void add_fault_metrics(RunResult& r, const cluster::ClusterReport& report) {
+  r.set("goodput", report.goodput);
+  r.set("work_lost", report.work_lost);
+  r.set("restarts", static_cast<double>(report.restarts));
+  r.set("crashes", static_cast<double>(report.crashes));
+  r.set("checkpoints", static_cast<double>(report.checkpoints));
+}
+
 RunResult fault_cell(const cluster::ExperimentConfig& config,
                      const TracePoolCache::PoolPtr& pool,
                      const workload::BurstTable& table,
@@ -48,11 +56,7 @@ RunResult fault_cell(const cluster::ExperimentConfig& config,
   RunResult r = open_metrics(cluster::run_open(config, *pool, table));
   const auto closed = cluster::run_closed(config, *pool, table, closed_duration);
   r.set("throughput", closed.throughput);
-  r.set("goodput", closed.goodput);
-  r.set("work_lost", closed.work_lost);
-  r.set("restarts", static_cast<double>(closed.restarts));
-  r.set("crashes", static_cast<double>(closed.crashes));
-  r.set("checkpoints", static_cast<double>(closed.checkpoints));
+  add_fault_metrics(r, closed);
   return r;
 }
 

@@ -31,9 +31,12 @@ namespace ll::exp {
                                      const workload::BurstTable& table,
                                      double closed_duration = 3600.0);
 
-/// cluster_cell plus the fault/checkpoint robustness metrics (goodput,
-/// work_lost, restarts, crashes, checkpoints — closed-run values, as the
-/// throughput is). With an empty FaultSpec the shared metrics are
+/// Appends the fault/checkpoint robustness metrics of `report`: goodput,
+/// work_lost, restarts, crashes and checkpoints.
+void add_fault_metrics(RunResult& r, const cluster::ClusterReport& report);
+
+/// cluster_cell plus add_fault_metrics of the closed run (closed-run values,
+/// as the throughput is). With an empty FaultSpec the shared metrics are
 /// bitwise-identical to cluster_cell's: same runs, same seeds, and the
 /// fault columns collapse to their identity values.
 [[nodiscard]] RunResult fault_cell(const cluster::ExperimentConfig& config,

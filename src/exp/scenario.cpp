@@ -1,11 +1,19 @@
 #include "exp/scenario.hpp"
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 #include "exp/drivers.hpp"
 #include "exp/engine.hpp"
 #include "exp/result.hpp"
+#include "fault/checkpoint.hpp"
+#include "util/flags.hpp"
 #include "util/json.hpp"
 #include "verify/digest.hpp"
 #include "workload/burst_table.hpp"
@@ -14,48 +22,116 @@ namespace ll::exp {
 namespace {
 
 namespace json = util::json;
+using S = ClusterScenario;
 
-/// Request-size ceilings. The server executes whatever it admits, so the
-/// scenario parser is the admission control for *work size*: a request
-/// asking for a million nodes is rejected at parse time, not discovered as
-/// an hour-long simulation in the dispatcher. llsim's flags skip them.
-constexpr std::size_t kMaxNodes = 4096;
-constexpr std::size_t kMaxJobs = 100000;
-constexpr std::size_t kMaxMachines = 1024;
-constexpr std::size_t kMaxReps = 1000;
-constexpr double kMaxDays = 32.0;
-// machines x days: each machine-day is 43,200 samples (~0.7 MB) of pool,
-// built and cached whole, so the two caps above alone would admit ~22.6 GB.
-// 256 machine-days is the largest pool any bench builds (ext_scale's).
-constexpr double kMaxMachineDays = 256.0;
-constexpr double kMaxClosedSeconds = 7.0 * 24.0 * 3600.0;
+/// A field's validity bound, checked by validate() on every front end.
+enum class Bound { kAny, kAtLeastOne, kPositive, kNonNegative };
+/// How config_digest folds a field: always (the ten fields of
+/// serve.cluster.v1), by key and value only off its default (the fault
+/// plan), or never (the seed, the cache key's other half).
+enum class Fold { kAlways, kIfSet, kNever };
+using enum Bound;
+using enum Fold;
 
-std::size_t size_field(const json::Value& v, const std::string& key,
-                       std::size_t min, std::size_t max) {
-  std::uint64_t raw = 0;
-  try {
-    raw = v.as_u64();
-  } catch (const std::exception&) {
-    throw std::invalid_argument("params." + key + " must be an integer");
-  }
-  if (raw < min || raw > max) {
-    throw std::invalid_argument("params." + key + " out of range [" +
-                                std::to_string(min) + ", " +
-                                std::to_string(max) + "]");
-  }
-  return static_cast<std::size_t>(raw);
+constexpr double kNoCap = std::numeric_limits<double>::infinity();
+constexpr double kWeek = 7.0 * 24.0 * 3600.0;
+
+/// One row of the field table; the member's type and default are
+/// ClusterScenario's.
+struct Field {
+  std::string_view key;   ///< wire key in a run request's params
+  std::string_view flag;  ///< flag name, without "--"
+  Bound bound;
+  /// Serve's admission ceiling for work size: the server runs whatever it
+  /// admits, so a million-node request is refused at parse time, not found
+  /// as an hour-long run. llsim's flags skip it.
+  double cap;
+  Fold fold;
+  std::string_view help;
+};
+
+/// The field table: calls `visit(&ClusterScenario::member, row)` once per
+/// field, in wire and digest order.
+template <class Visit>
+void for_each_field(Visit&& visit) {
+  visit(&S::policy, {"policy", "policy", kAny, kNoCap, kAlways,
+                     "LL, LF, IE, PM, or LL-oracle"});
+  visit(&S::nodes,
+        {"nodes", "nodes", kAtLeastOne, 4096, kAlways, "cluster size"});
+  visit(&S::jobs, {"jobs", "jobs", kAtLeastOne, 1e5, kAlways,
+                   "foreign jobs (held in the system if closed)"});
+  visit(&S::demand,
+        {"demand", "demand", kPositive, 1e9, kAlways, "CPU-seconds per job"});
+  visit(&S::machines, {"machines", "machines", kAtLeastOne, 1024, kAlways,
+                       "synthetic trace machines (unless --traces)"});
+  visit(&S::days,
+        {"days", "days", kPositive, 32, kAlways, "synthetic trace days"});
+  visit(&S::closed, {"closed", "closed", kNonNegative, kWeek, kAlways,
+                     "if > 0: closed-system run of this many seconds "
+                     "(throughput mode)"});
+  visit(&S::pause, {"pause", "pause-time", kNonNegative, 1e9, kAlways,
+                    "PM grace period (s)"});
+  visit(&S::reps, {"reps", "reps", kAtLeastOne, 1000, kAlways,
+                   "replications (report means with 95% CIs)"});
+  visit(&S::seed, {"seed", "seed", kAny, kNoCap, kNever, "master RNG seed"});
+  visit(&S::mtbf, {"mtbf", "mtbf", kNonNegative, kNoCap, kIfSet,
+                   "per-node mean time between crashes (s, 0 = none)"});
+  visit(&S::downtime, {"downtime", "downtime", kPositive, kWeek, kIfSet,
+                       "mean crash downtime (s)"});
+  visit(&S::drop, {"drop", "drop", kNonNegative, kNoCap, kIfSet,
+                   "migration-link drop probability, in [0, 1)"});
+  visit(&S::checkpoint, {"checkpoint", "checkpoint", kNonNegative, kNoCap,
+                         kIfSet, "checkpoint interval (s, 0 = off)"});
+  visit(&S::storm_every,
+        {"storm_every", "storm-every", kNonNegative, kNoCap, kIfSet,
+         "mean s between reclamation storms (0 = off)"});
+  visit(&S::pressure_every,
+        {"pressure_every", "pressure-every", kNonNegative, kNoCap, kIfSet,
+         "mean s between memory-pressure spikes (0 = off)"});
 }
 
-double double_field(const json::Value& v, const std::string& key, double min,
-                    double max) {
-  if (v.kind() != json::Kind::kNumber) {
-    throw std::invalid_argument("params." + key + " must be a number");
+template <class T>
+constexpr bool kIsPolicy = std::is_same_v<T, core::PolicyKind>;
+
+/// The policy's name, or the shortest text that reads back to the same
+/// number.
+template <class T>
+std::string value_text(const T& value) {
+  if constexpr (kIsPolicy<T>) {
+    return std::string(core::to_string(value));
+  } else {
+    char buf[32];
+    return std::string(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
   }
-  const double d = v.as_number();
-  if (!(d >= min && d <= max)) {  // NaN fails both comparisons
-    throw std::invalid_argument("params." + key + " out of range");
+}
+
+/// Reads one params value into `out`, refusing it above the field's cap.
+template <class T>
+void read_param(const Field& f, const json::Value& v, T& out) {
+  const std::string name = "params." + std::string(f.key);
+  const json::Kind kind = kIsPolicy<T> ? json::Kind::kString
+                                       : json::Kind::kNumber;
+  if (v.kind() != kind) {
+    throw std::invalid_argument(name + " must be a " +
+                                std::string(json::Value::kind_name(kind)));
   }
-  return d;
+  if constexpr (kIsPolicy<T>) {
+    out = core::parse_policy_name(v.as_string());
+  } else {
+    if constexpr (std::is_integral_v<T>) {
+      try {
+        out = v.as_u64();
+      } catch (const std::exception&) {
+        throw std::invalid_argument(name + " must be a non-negative integer");
+      }
+    } else {
+      out = v.as_number();
+    }
+    if (static_cast<double>(out) > f.cap) {
+      throw std::invalid_argument(name + " exceeds the served cap of " +
+                                  value_text(f.cap));
+    }
+  }
 }
 
 }  // namespace
@@ -67,43 +143,107 @@ ClusterScenario ClusterScenario::from_json(const json::Value& v) {
     throw std::invalid_argument("params must be an object");
   }
   for (const auto& [key, value] : v.as_object()) {
-    if (key == "policy") {
-      if (value.kind() != json::Kind::kString) {
-        throw std::invalid_argument("params.policy must be a string");
-      }
-      sc.policy = core::parse_policy_name(value.as_string());
-    } else if (key == "nodes") {
-      sc.nodes = size_field(value, key, 1, kMaxNodes);
-    } else if (key == "jobs") {
-      sc.jobs = size_field(value, key, 1, kMaxJobs);
-    } else if (key == "demand") {
-      sc.demand = double_field(value, key, 1e-6, 1e9);
-    } else if (key == "machines") {
-      sc.machines = size_field(value, key, 1, kMaxMachines);
-    } else if (key == "days") {
-      sc.days = double_field(value, key, 1e-3, kMaxDays);
-    } else if (key == "closed") {
-      sc.closed = double_field(value, key, 0.0, kMaxClosedSeconds);
-    } else if (key == "pause") {
-      sc.pause = double_field(value, key, 0.0, 1e9);
-    } else if (key == "reps") {
-      sc.reps = size_field(value, key, 1, kMaxReps);
-    } else if (key == "seed") {
-      try {
-        sc.seed = value.as_u64();
-      } catch (const std::exception&) {
-        throw std::invalid_argument("params.seed must be an integer");
-      }
-    } else {
+    bool known = false;
+    for_each_field([&](auto member, const Field& f) {
+      if (f.key != key) return;
+      known = true;
+      read_param(f, value, sc.*member);
+    });
+    if (!known) {
       throw std::invalid_argument("params has unknown key '" + key + "'");
     }
   }
-  if (static_cast<double>(sc.machines) * sc.days > kMaxMachineDays) {
+  sc.validate(FieldNames::kParams);
+  // Admission control beyond the per-field caps. A machine-day is 43,200
+  // samples (~0.7 MB) of pool, built whole, so the two caps alone would
+  // admit ~22.6 GB; 256 is the largest pool any bench builds (ext_scale's).
+  if (static_cast<double>(sc.machines) * sc.days > 256.0) {
     throw std::invalid_argument(
-        "params.machines x params.days exceeds " +
-        std::to_string(static_cast<int>(kMaxMachineDays)) + " machine-days");
+        "params.machines x params.days exceeds 256 machine-days");
+  }
+  // A plan compiles every arrival before the run (FaultSpec caps that at
+  // 1e6 per category), and each one is simulated work.
+  const fault::FaultSpec plan = sc.fault_plan();
+  for (const fault::ArrivalProcess* arrivals :
+       {&plan.crash.arrivals, &plan.storm.arrivals, &plan.pressure.arrivals}) {
+    if (arrivals->expected_count(plan.horizon) > 1e4) {
+      throw std::invalid_argument(
+          "params: the fault plan expects over 1e4 arrivals of one kind");
+    }
+  }
+  // A checkpoint pauses its job for at least 0.3 s, so a shorter interval
+  // runs a job's demand as billions of checkpoints.
+  if (sc.checkpoint > 0.0 && sc.checkpoint < 1.0) {
+    throw std::invalid_argument("params.checkpoint must be 0 (off) or >= 1");
   }
   return sc;
+}
+
+std::string ClusterScenario::to_json() const {
+  std::string out;
+  for_each_field([&](auto member, const Field& f) {
+    const auto& value = this->*member;
+    const std::string text = value_text(value);
+    out += (out.empty() ? "{\"" : ", \"") + std::string(f.key) + "\": ";
+    out += kIsPolicy<std::decay_t<decltype(value)>> ? '"' + text + '"' : text;
+  });
+  return out + "}";
+}
+
+std::function<ClusterScenario()> ClusterScenario::add_flags(
+    util::Flags& flags) {
+  // One read per field copies its parsed flag into the scenario.
+  std::vector<std::function<void(ClusterScenario&)>> reads;
+  const ClusterScenario defaults;
+  for_each_field([&](auto member, const Field& f) {
+    using T = std::decay_t<decltype(defaults.*member)>;
+    if constexpr (kIsPolicy<T>) {
+      auto h = flags.add_string(f.flag, value_text(defaults.*member), f.help);
+      reads.push_back([=](S& sc) { sc.*member = core::parse_policy_name(*h); });
+    } else if constexpr (std::is_integral_v<T>) {
+      auto h = flags.add_uint64(f.flag, defaults.*member, f.help);
+      reads.push_back([=](S& sc) { sc.*member = *h; });
+    } else {
+      auto h = flags.add_double(f.flag, defaults.*member, f.help);
+      reads.push_back([=](S& sc) { sc.*member = *h; });
+    }
+  });
+  return [reads = std::move(reads)] {
+    ClusterScenario sc;
+    for (const auto& read : reads) read(sc);
+    sc.validate(FieldNames::kFlags);
+    return sc;
+  };
+}
+
+void ClusterScenario::validate(FieldNames names) const {
+  for_each_field([&](auto member, const Field& f) {
+    if constexpr (!kIsPolicy<std::decay_t<decltype(this->*member)>>) {
+      static constexpr const char* kRule[] = {"", ">= 1", "> 0", ">= 0"};
+      const auto v = static_cast<double>(this->*member);
+      const bool in_bound = f.bound == kAny          ? true
+                            : f.bound == kAtLeastOne ? v >= 1.0
+                            : f.bound == kPositive   ? v > 0.0
+                                                     : v >= 0.0;
+      if (std::isfinite(v) && in_bound) return;
+      throw std::invalid_argument(
+          (names == FieldNames::kFlags ? "--" + std::string(f.flag)
+                                       : "params." + std::string(f.key)) +
+          " must be " +
+          (std::isfinite(v) ? kRule[static_cast<int>(f.bound)] : "finite"));
+    }
+  });
+  fault_plan().validate();
+  fault::CheckpointConfig{checkpoint}.validate();
+}
+
+std::vector<std::pair<std::string, std::string>> ClusterScenario::config()
+    const {
+  std::vector<std::pair<std::string, std::string>> pairs;
+  for_each_field([&](auto member, const Field& f) {
+    pairs.emplace_back(f.key, value_text(this->*member));
+  });
+  return pairs;
 }
 
 std::uint64_t ClusterScenario::config_digest() const {
@@ -111,43 +251,86 @@ std::uint64_t ClusterScenario::config_digest() const {
   // Version tag: bump when the scenario semantics change, so stale cached
   // results from an older server can never alias a new config.
   digest.add_string("serve.cluster.v1");
-  digest.add_string(core::to_string(policy));
-  digest.add_u64(nodes);
-  digest.add_u64(jobs);
-  digest.add_double(demand);
-  digest.add_u64(machines);
-  digest.add_double(days);
-  digest.add_double(closed);
-  digest.add_double(pause);
-  digest.add_u64(reps);
+  const ClusterScenario defaults;
+  for_each_field([&](auto member, const Field& f) {
+    const auto& value = this->*member;
+    if (f.fold == kNever || (f.fold == kIfSet && value == defaults.*member)) {
+      return;
+    }
+    if (f.fold == kIfSet) digest.add_string(f.key);
+    if constexpr (kIsPolicy<std::decay_t<decltype(value)>>) {
+      digest.add_string(core::to_string(value));
+    } else if constexpr (std::is_integral_v<std::decay_t<decltype(value)>>) {
+      digest.add_u64(value);
+    } else {
+      digest.add_double(value);
+    }
+  });
   return digest.value();
 }
 
-TracePoolCache::PoolPtr ClusterScenario::pool() const {
-  return TracePoolCache::shared().standard(machines, days * 24.0, seed + 1);
+fault::FaultSpec ClusterScenario::fault_plan() const {
+  fault::FaultSpec plan;
+  if (mtbf > 0.0) {
+    // Cluster-wide crash rate: node_count / per-node MTBF.
+    plan.crash.arrivals =
+        fault::ArrivalProcess::exponential(static_cast<double>(nodes) / mtbf);
+  }
+  plan.crash.mean_downtime = downtime;
+  plan.link.drop_probability = drop;
+  if (storm_every > 0.0) {
+    plan.storm.arrivals = fault::ArrivalProcess::exponential(1.0 / storm_every);
+  }
+  if (pressure_every > 0.0) {
+    plan.pressure.arrivals =
+        fault::ArrivalProcess::exponential(1.0 / pressure_every);
+  }
+  // A closed run draws faults over its whole length; open runs, and closed
+  // ones of at most a day, keep the one-day horizon their timelines had.
+  plan.horizon = std::max(plan.horizon, closed);
+  return plan;
 }
 
-cluster::ClusterReport ClusterScenario::run_one(
-    std::uint64_t run_seed, const ClusterEngine& engine,
-    const trace::TracePool& pool, const workload::BurstTable& table,
-    const ClusterHooks* hooks, cluster::JobStore* jobs_out) const {
+bool ClusterScenario::faulty() const {
+  return !fault_plan().empty() || checkpoint > 0.0;
+}
+
+namespace {
+
+/// One run of `sc` at `run_seed` on `engine`: the open run, or the closed
+/// one when `closed` > 0.
+cluster::ClusterReport run_one(const ClusterScenario& sc,
+                               std::uint64_t run_seed,
+                               const ClusterEngine& engine,
+                               const trace::TracePool& pool,
+                               const workload::BurstTable& table,
+                               const ClusterHooks& hooks) {
   cluster::ExperimentConfig cfg;
-  cfg.cluster.node_count = nodes;
+  cfg.cluster.node_count = sc.nodes;
   cfg.cluster.queue = engine.queue;
-  cfg.cluster.policy = policy;
-  cfg.cluster.policy_params.pause_time = pause;
-  cfg.workload = cluster::WorkloadSpec{jobs, demand};
+  cfg.cluster.policy = sc.policy;
+  cfg.cluster.policy_params.pause_time = sc.pause;
+  cfg.cluster.faults = sc.fault_plan();
+  cfg.cluster.checkpoint.interval = sc.checkpoint;
+  cfg.workload = cluster::WorkloadSpec{sc.jobs, sc.demand};
   cfg.seed = run_seed;
   if (engine.shards > 0) {
-    const shard::RunHooks* h = hooks ? &hooks->sharded : nullptr;
-    return closed > 0.0 ? shard::run_closed(cfg, engine.shards, pool, table,
-                                            closed, engine.runner, h)
-                        : shard::run_open(cfg, engine.shards, pool, table,
-                                          engine.runner, jobs_out, h);
+    return sc.closed > 0.0
+               ? shard::run_closed(cfg, engine.shards, pool, table, sc.closed,
+                                   engine.runner, &hooks.sharded)
+               : shard::run_open(cfg, engine.shards, pool, table,
+                                 engine.runner, &hooks.sharded);
   }
-  const cluster::RunHooks* h = hooks ? &hooks->monolithic : nullptr;
-  return closed > 0.0 ? cluster::run_closed(cfg, pool, table, closed, h)
-                      : cluster::run_open(cfg, pool, table, jobs_out, h);
+  return sc.closed > 0.0 ? cluster::run_closed(cfg, pool, table, sc.closed,
+                                               &hooks.monolithic)
+                         : cluster::run_open(cfg, pool, table, nullptr,
+                                             &hooks.monolithic);
+}
+
+}  // namespace
+
+TracePoolCache::PoolPtr ClusterScenario::pool() const {
+  return TracePoolCache::shared().standard(machines, days * 24.0, seed + 1);
 }
 
 ExperimentSpec ClusterScenario::spec(const ClusterEngine& engine,
@@ -160,13 +343,16 @@ ExperimentSpec ClusterScenario::spec(const ClusterEngine& engine,
   spec.replications = reps;
   spec.axes = {"policy"};
   spec.add_cell({{"policy", std::string(core::to_string(policy))}},
-                [scenario = *this, engine, pool = std::move(pool), &table,
+                [scenario = *this, faulty = faulty(), engine,
+                 pool = std::move(pool), &table,
                  hooks = std::move(hooks)](std::uint64_t s) {
-                  const ClusterHooks h = hooks ? hooks(s) : ClusterHooks{};
-                  const cluster::ClusterReport report =
-                      scenario.run_one(s, engine, *pool, table, &h);
-                  return scenario.closed > 0.0 ? closed_metrics(report)
-                                               : open_metrics(report);
+                  const cluster::ClusterReport report = run_one(
+                      scenario, s, engine, *pool, table,
+                      hooks ? hooks(s) : ClusterHooks{});
+                  RunResult r = scenario.closed > 0.0 ? closed_metrics(report)
+                                                      : open_metrics(report);
+                  if (faulty) add_fault_metrics(r, report);
+                  return r;
                 });
   return spec;
 }
@@ -174,7 +360,7 @@ ExperimentSpec ClusterScenario::spec(const ClusterEngine& engine,
 std::string ClusterScenario::run(util::TaskRunner* runner) const {
   EngineOptions options;
   options.runner = runner;
-  return to_json(run_sweep(
+  return exp::to_json(run_sweep(
       spec(ClusterEngine{}, pool(), workload::default_burst_table()),
       options));
 }

@@ -6,6 +6,7 @@
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "rng/distributions.hpp"
@@ -14,8 +15,9 @@
 namespace ll::fault {
 namespace {
 
-void require(bool ok, const std::string& message) {
-  if (!ok) throw std::invalid_argument("FaultSpec: " + message);
+// A view, so a passing check allocates nothing.
+void require(bool ok, std::string_view message) {
+  if (!ok) throw std::invalid_argument("FaultSpec: " + std::string(message));
 }
 
 /// Distinct node indices, `fraction` of the cluster (at least one node),
@@ -150,10 +152,12 @@ void FaultSpec::validate() const {
        {std::pair{"crash", &crash.arrivals}, std::pair{"storm", &storm.arrivals},
         std::pair{"pressure", &pressure.arrivals}}) {
     const double expected = arrivals->expected_count(horizon);
-    require(expected <= kMaxExpectedArrivals,
-            util::format("%s arrivals expect %.3g events over the %g-s "
-                         "horizon (at most %.0e)",
-                         what, expected, horizon, kMaxExpectedArrivals));
+    if (!(expected <= kMaxExpectedArrivals)) {
+      throw std::invalid_argument(util::format(
+          "FaultSpec: %s arrivals expect %.3g events over the %g-s horizon "
+          "(at most %.0e)",
+          what, expected, horizon, kMaxExpectedArrivals));
+    }
   }
   require(std::isfinite(crash.mean_downtime) && crash.mean_downtime > 0.0,
           "crash mean_downtime must be > 0");

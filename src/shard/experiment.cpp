@@ -7,11 +7,10 @@ cluster::ClusterReport run_open(const cluster::ExperimentConfig& config,
                                 const trace::TracePool& pool,
                                 const workload::BurstTable& table,
                                 util::TaskRunner* runner,
-                                cluster::JobStore* jobs_out,
                                 const RunHooks* hooks) {
   ShardedClusterSim sim(config.cluster, shards, pool, table,
                         cluster::run_stream(config), runner);
-  return cluster::drive(sim, config.workload, std::nullopt, hooks, jobs_out);
+  return cluster::drive(sim, config.workload, std::nullopt, hooks);
 }
 
 cluster::ClusterReport run_closed(const cluster::ExperimentConfig& config,

@@ -21,8 +21,7 @@ using RunHooks = cluster::EngineHooks<ShardedClusterSim>;
 [[nodiscard]] cluster::ClusterReport run_open(
     const cluster::ExperimentConfig& config, std::size_t shards,
     const trace::TracePool& pool, const workload::BurstTable& table,
-    util::TaskRunner* runner = nullptr, cluster::JobStore* jobs_out = nullptr,
-    const RunHooks* hooks = nullptr);
+    util::TaskRunner* runner = nullptr, const RunHooks* hooks = nullptr);
 
 /// Closed-mode run: holds `workload.jobs` jobs in the system for `duration`.
 [[nodiscard]] cluster::ClusterReport run_closed(

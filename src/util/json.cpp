@@ -64,9 +64,14 @@ class Parser {
     skip_ws();
     switch (peek()) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        // The parser recurses once per level, so unbounded nesting lets a
+        // 64-KiB request line of '[' overflow the stack.
+        if (++depth_ > kMaxDepth) fail("nesting deeper than 256 levels");
+        Value v = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"':
         return Value(parse_string());
       case 't':
@@ -218,8 +223,11 @@ class Parser {
     return Value(value);
   }
 
+  static constexpr std::size_t kMaxDepth = 256;
+
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< open objects and arrays
 };
 
 }  // namespace

@@ -95,7 +95,7 @@ class Value {
 
 /// Parses one complete JSON document (trailing whitespace allowed, trailing
 /// garbage rejected). Throws std::runtime_error with a byte offset on
-/// malformed input.
+/// malformed input, including arrays and objects nested over 256 deep.
 [[nodiscard]] Value parse(std::string_view text);
 
 /// Escapes a string for embedding in JSON output (quotes not included).

@@ -279,7 +279,9 @@ TEST_F(CliTest, ClusterJsonEmitsSweep) {
   const CliResult closed =
       run({"cluster", "--policy=PM", "--nodes=8", "--jobs=8", "--demand=60",
            "--machines=4", "--days=0.2", "--seed=5", "--pause-time=30",
-           "--closed=600", "--reps=3", "--json"});
+           "--closed=600", "--reps=3", "--mtbf=600", "--downtime=60",
+           "--drop=0.1", "--checkpoint=120", "--storm-every=1800",
+           "--pressure-every=2400", "--json"});
   ASSERT_EQ(closed.code, 0) << closed.err;
   exp::ClusterScenario sc;
   sc.policy = core::PolicyKind::PauseAndMigrate;
@@ -292,7 +294,122 @@ TEST_F(CliTest, ClusterJsonEmitsSweep) {
   sc.pause = 30.0;
   sc.closed = 600.0;
   sc.reps = 3;
+  sc.mtbf = 600.0;
+  sc.downtime = 60.0;
+  sc.drop = 0.1;
+  sc.checkpoint = 120.0;
+  sc.storm_every = 1800.0;
+  sc.pressure_every = 2400.0;
   EXPECT_EQ(closed.out, sc.run(nullptr));
+  EXPECT_NE(closed.out.find("\"goodput\""), std::string::npos);
+}
+
+TEST_F(CliTest, ClusterRefusesEmptyScenarios) {
+  // An empty scenario is refused by every front end, as serve refuses it.
+  for (const std::string flag :
+       {"--jobs=0", "--nodes=0", "--machines=0", "--reps=0"}) {
+    for (const std::string cmd : {"cluster", "faults"}) {
+      const CliResult r = run({cmd, flag});
+      EXPECT_EQ(r.code, 1) << cmd << " " << flag;
+      EXPECT_NE(r.err.find(flag.substr(0, flag.find('=')) + " must be >= 1"),
+                std::string::npos)
+          << r.err;
+    }
+  }
+}
+
+TEST_F(CliTest, ClusterRefusesJobLogOfClosedRun) {
+  // A closed run has no job log to write, so the pair is refused rather
+  // than exiting 0 with nothing written.
+  const CliResult r =
+      run({"cluster", "--nodes=4", "--jobs=4", "--machines=2", "--days=0.2",
+           "--closed=600", "--job-log=" + path("jobs.csv")});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("--job-log"), std::string::npos) << r.err;
+  EXPECT_NE(r.err.find("--closed"), std::string::npos) << r.err;
+  EXPECT_FALSE(fs::exists(path("jobs.csv")));
+}
+
+/// The seed and the sim-time metrics of a run manifest.
+std::string manifest_run(const std::string& file) {
+  std::ifstream in(file);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  const auto doc = util::json::parse(buf.str());
+  std::string run = "seed " + std::to_string(doc.find("seed")->as_u64());
+  for (const auto& m : doc.find("metrics")->as_array()) {
+    run += "\n" + m.find("name")->as_string() + " " +
+           std::to_string(m.find("value")->as_number());
+  }
+  return run;
+}
+
+TEST_F(CliTest, ClusterViewsDescribeTheFirstReplication) {
+  // One scenario, one run: the fault-free faults view prints the cluster
+  // report, and the profile and the cluster manifest document the same
+  // run, the first replication of the cluster sweep.
+  const std::vector<std::string> flags = {"--nodes=8", "--jobs=8",
+                                          "--machines=4", "--days=0.2"};
+  const auto with = [&flags](std::vector<std::string> args) {
+    args.insert(args.end(), flags.begin(), flags.end());
+    return run(args);
+  };
+  const CliResult cluster = with({"cluster"});
+  ASSERT_EQ(cluster.code, 0) << cluster.err;
+  const CliResult faults = with({"faults"});
+  ASSERT_EQ(faults.code, 0) << faults.err;
+  EXPECT_EQ(faults.out,
+            "fault plan is empty — this is the fault-free baseline run\n\n" +
+                cluster.out);
+
+  ASSERT_EQ(with({"cluster", "--metrics-out=" + path("cluster.json")}).code,
+            0);
+  ASSERT_EQ(with({"profile", "--metrics-out=" + path("profile.json")}).code,
+            0);
+  const std::string first = manifest_run(path("cluster.json"));
+  EXPECT_EQ(first.rfind("seed " + std::to_string(exp::replication_seed(
+                                      42, 0, 0)) +
+                            "\n",
+                        0),
+            0u)
+      << first;
+  EXPECT_EQ(manifest_run(path("profile.json")), first);
+}
+
+TEST_F(CliTest, FaultsTakesEveryClusterFlag) {
+  const std::vector<std::string> flags = {
+      "--nodes=4",     "--jobs=6",     "--demand=120", "--mtbf=600",
+      "--checkpoint=120", "--machines=2", "--days=0.2", "--seed=5"};
+  const auto with = [&flags](std::vector<std::string> args) {
+    args.insert(args.end(), flags.begin(), flags.end());
+    return run(args);
+  };
+  const CliResult json = with({"faults", "--json", "--reps=2"});
+  ASSERT_EQ(json.code, 0) << json.err;
+  EXPECT_EQ(json.out, with({"cluster", "--json", "--reps=2"}).out);
+  const CliResult sharded = with({"faults", "--reps=2", "--shards=2"});
+  ASSERT_EQ(sharded.code, 0) << sharded.err;
+  EXPECT_NE(sharded.out.find("compiled fault timeline"), std::string::npos);
+  EXPECT_NE(sharded.out.find("| shards"), std::string::npos);
+  EXPECT_NE(sharded.out.find("goodput"), std::string::npos);
+}
+
+TEST_F(CliTest, FaultsDrawClosedPlansOverTheWholeRun) {
+  // A 2-day closed run draws its plan over both days: with a 20,000-s
+  // per-node MTBF on 4 nodes about 35 crashes are expected, half of them
+  // after the first 86,400 s.
+  const CliResult r =
+      run({"faults", "--nodes=4", "--jobs=4", "--machines=4", "--mtbf=20000",
+           "--closed=172800"});
+  ASSERT_EQ(r.code, 0) << r.err;
+  std::istringstream lines(r.out);
+  std::string line;
+  double last = 0.0;
+  while (std::getline(lines, line)) {
+    if (line.find(" | crash |") == std::string::npos) continue;
+    last = std::max(last, std::stod(line.substr(2)));
+  }
+  EXPECT_GT(last, 86400.0) << r.out;
 }
 
 TEST_F(CliTest, ClusterShardedJsonIsShardCountInvariantAndWritesJobLog) {
@@ -483,15 +600,21 @@ TEST_F(CliTest, FaultsPrintsTimelineAndGoodput) {
 }
 
 TEST_F(CliTest, FaultsEmptyPlanIsBaseline) {
-  const CliResult r =
-      run({"faults", "--policy=LL", "--nodes=4", "--jobs=4", "--demand=60",
-           "--mtbf=0", "--drop=0", "--checkpoint=0", "--machines=2",
-           "--days=0.2", "--seed=5"});
+  const std::vector<std::string> flags = {"--policy=LL", "--nodes=4",
+                                          "--jobs=4",    "--demand=60",
+                                          "--machines=2", "--days=0.2",
+                                          "--seed=5"};
+  std::vector<std::string> faults = {"faults", "--mtbf=0", "--drop=0",
+                                     "--checkpoint=0"};
+  faults.insert(faults.end(), flags.begin(), flags.end());
+  std::vector<std::string> cluster = {"cluster"};
+  cluster.insert(cluster.end(), flags.begin(), flags.end());
+  const CliResult r = run(faults);
   ASSERT_EQ(r.code, 0) << r.err;
-  EXPECT_NE(r.out.find("fault plan is empty"), std::string::npos);
-  // Fault-free: identity metrics.
-  EXPECT_NE(r.out.find("goodput"), std::string::npos);
-  EXPECT_NE(r.out.find("100.00%"), std::string::npos);
+  // Fault-free: the baseline is the plain cluster run, byte for byte.
+  EXPECT_EQ(r.out,
+            "fault plan is empty — this is the fault-free baseline run\n\n" +
+                run(cluster).out);
 }
 
 TEST_F(CliTest, FaultsWritesManifestWithGoodput) {
@@ -663,6 +786,27 @@ TEST_F(CliTest, ProfileTimelinePrintsLastTracerRecords) {
             static_cast<double>(recorded));
   EXPECT_EQ(trace->find("tracer_dropped")->as_number(),
             static_cast<double>(recorded - 5));
+}
+
+TEST_F(CliTest, ViewsRefuseFlagsTheyCannotHonour) {
+  const std::vector<std::vector<std::string>> cases = {
+      // The event-loop profiler attaches to the monolithic engine only, so
+      // a sharded run has no profile to report.
+      {"profile", "--shards=2"},
+      // A profile is one run.
+      {"profile", "--reps=2"},
+      // A pinned verify scenario ignores the scenario flags.
+      {"trace", "--scenario=cluster-open-ll", "--out=" + path("t.json"),
+       "--nodes=8"},
+      {"trace", "--scenario=cluster-open-ll", "--out=" + path("t.json"),
+       "--shards=2"},
+  };
+  for (const auto& args : cases) {
+    const CliResult r = run(args);
+    EXPECT_EQ(r.code, 1) << args[0] << " " << args.back();
+    EXPECT_EQ(r.err.rfind("llsim: " + args[0] + ": ", 0), 0u) << r.err;
+  }
+  EXPECT_FALSE(fs::exists(path("t.json")));
 }
 
 TEST_F(CliTest, NegativeCountsAndDurationsAreRejected) {

@@ -77,6 +77,25 @@ TEST(Protocol, PoolSizeIsCappedInMachineDays) {
                    32.0);
 }
 
+TEST(Protocol, FaultPlanIsCappedInExpectedArrivals) {
+  // 64 nodes at a 300-s per-node MTBF expect 18,432 crashes over the
+  // one-day horizon: over the 1e4 a served plan may expect per category.
+  EXPECT_THROW((void)parse_request(
+                   R"({"id": 1, "op": "run", "params": {"mtbf": 300}})"),
+               RequestError);
+  EXPECT_THROW(
+      (void)parse_request(
+          R"({"id": 2, "op": "run", "params": {"pressure_every": 8}})"),
+      RequestError);
+  // The CI serve smoke's plan (8 nodes, 900 s) expects 768.
+  const ParsedRequest ok = parse_request(
+      R"({"id": 3, "op": "run", "params": {"nodes": 8, "mtbf": 900, )"
+      R"("checkpoint": 300}})");
+  EXPECT_DOUBLE_EQ(ok.scenario.mtbf, 900.0);
+  EXPECT_DOUBLE_EQ(ok.scenario.checkpoint, 300.0);
+  EXPECT_NE(ok.scenario.config_digest(), ScenarioRequest{}.config_digest());
+}
+
 TEST(Protocol, ConfigDigestIgnoresSeedAndSeparatesConfigs) {
   ScenarioRequest a;
   ScenarioRequest b;

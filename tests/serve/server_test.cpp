@@ -172,6 +172,19 @@ TEST(Server, ServedResultIsByteIdenticalToOfflineSweep) {
   EXPECT_EQ(response.find("result")->as_string(), offline);
   EXPECT_EQ(response.find("key")->as_string(),
             format_key(small_scenario(777).config_digest(), 777));
+
+  // A fault scenario, its params written by to_json as llload writes them.
+  ScenarioRequest faulty = small_scenario(778);
+  faulty.mtbf = 600.0;
+  faulty.drop = 0.1;
+  faulty.checkpoint = 120.0;
+  ASSERT_TRUE(client.send_text("{\"id\": 2, \"op\": \"run\", \"params\": " +
+                               faulty.to_json() + "}\n"));
+  response = client.read_response();
+  ASSERT_EQ(response.find("status")->as_string(), "ok");
+  EXPECT_EQ(response.find("result")->as_string(), faulty.run(nullptr));
+  EXPECT_EQ(response.find("key")->as_string(),
+            format_key(faulty.config_digest(), 778));
   server.shutdown();
 }
 

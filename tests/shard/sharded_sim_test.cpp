@@ -208,7 +208,7 @@ TEST(ShardedSim, ArmsOnlyCompletionsThatCanFire) {
     }
     EXPECT_LE(cancelled, fired);
   };
-  EXPECT_EQ(shard::run_open(cfg, 3, pool, table(), nullptr, nullptr, &hooks)
+  EXPECT_EQ(shard::run_open(cfg, 3, pool, table(), nullptr, &hooks)
                 .completed,
             128u);
   EXPECT_GT(

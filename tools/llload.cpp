@@ -12,7 +12,9 @@
 // {"status":"rejected"} backpressure by retrying after retry_after_ms.
 // --min-hit-rate turns the hit rate into an exit code for CI;
 // --dump-result writes the (unescaped) sweep JSON served for the base
-// seed, which must byte-match `llsim cluster --json` with the same flags.
+// seed, which must byte-match `llsim cluster --json` with the same flags:
+// the scenario flags are exp::ClusterScenario's field table, and each
+// request's params are its to_json.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -29,11 +31,11 @@
 #include <iostream>
 #include <map>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "exp/scenario.hpp"
 #include "util/flags.hpp"
 #include "util/json.hpp"
 
@@ -45,8 +47,7 @@ namespace json = ll::util::json;
 struct Mix {
   std::string host;
   int port = 0;
-  std::string params;  // the "params" object, shared by every request
-  std::uint64_t seed_base = 42;
+  ll::exp::ClusterScenario scenario;  // every request's; its seed is the base
   std::size_t unique = 16;
 };
 
@@ -58,7 +59,7 @@ struct Aggregate {
   std::uint64_t misses = 0;
   std::uint64_t rejected = 0;  // rejection events (each retried)
   std::uint64_t errors = 0;
-  std::string base_seed_result;  // first result served for seed_base
+  std::string base_seed_result;  // first result served for the base seed
 };
 
 int connect_to(const std::string& host, int port) {
@@ -122,16 +123,13 @@ void run_connection(const Mix& mix, std::size_t conn_index, std::size_t count,
   std::string base_result;
 
   const auto send_request = [&](std::uint64_t seed) -> bool {
-    std::ostringstream line;
-    line << "{\"id\": " << next_id << ", \"op\": \"run\", \"params\": "
-         << mix.params << "}\n";
-    // The params object carries the seed via string substitution below.
-    std::string text = line.str();
-    const std::string placeholder = "\"seed\": 0";
-    const std::size_t at = text.find(placeholder);
-    text.replace(at, placeholder.size(),
-                 "\"seed\": " + std::to_string(seed));
-    if (!send_all(fd, text)) return false;
+    ll::exp::ClusterScenario scenario = mix.scenario;
+    scenario.seed = seed;
+    if (!send_all(fd, "{\"id\": " + std::to_string(next_id) +
+                          ", \"op\": \"run\", \"params\": " +
+                          scenario.to_json() + "}\n")) {
+      return false;
+    }
     outstanding.emplace(next_id, InFlight{seed, Clock::now()});
     ++next_id;
     return true;
@@ -153,7 +151,7 @@ void run_connection(const Mix& mix, std::size_t conn_index, std::size_t count,
     }
     while (!dead && outstanding.size() < pipeline && next_request < count) {
       const std::uint64_t seed =
-          mix.seed_base +
+          mix.scenario.seed +
           (conn_index + next_request * 7919) % mix.unique;  // scattered mix
       ++next_request;
       if (!send_request(seed)) dead = true;
@@ -206,7 +204,7 @@ void run_connection(const Mix& mix, std::size_t conn_index, std::size_t count,
           if (const json::Value* cache = doc.find("cache")) {
             (cache->as_string() == "hit" ? hits : misses) += 1;
           }
-          if (base_result.empty() && it->second.seed == mix.seed_base) {
+          if (base_result.empty() && it->second.seed == mix.scenario.seed) {
             if (const json::Value* result = doc.find("result")) {
               base_result = result->as_string();  // parser unescapes
             }
@@ -262,14 +260,8 @@ int main(int argc, char** argv) {
   auto unique = flags.add_uint64("unique", 16,
                                  "distinct seeds in the mix (smaller = more "
                                  "cache hits)");
-  auto seed = flags.add_uint64("seed", 42, "base scenario seed");
-  auto policy = flags.add_string("policy", "LL", "scenario policy");
-  auto nodes = flags.add_uint64("nodes", 8, "scenario cluster size");
-  auto jobs = flags.add_uint64("jobs", 16, "scenario foreign jobs");
-  auto demand = flags.add_double("demand", 60.0, "CPU-seconds per job");
-  auto machines = flags.add_uint64("machines", 4, "scenario trace machines");
-  auto days = flags.add_double("days", 0.05, "scenario trace days");
-  auto reps = flags.add_uint64("reps", 1, "scenario replications");
+  // The scenario every request runs; --seed is the mix's base seed.
+  const auto read_scenario = ll::exp::ClusterScenario::add_flags(flags);
   auto min_hit_rate = flags.add_double(
       "min-hit-rate", -1.0,
       "exit 1 when the observed hit rate is below this (CI gate)");
@@ -277,30 +269,20 @@ int main(int argc, char** argv) {
       "dump-result", "",
       "write the sweep JSON served for the base seed to this file");
   auto as_json = flags.add_bool("json", false, "emit the summary as JSON");
+  Mix mix;
   try {
     flags.parse(argc, const_cast<const char**>(argv));
+    if (*port < 1 || *port > 65535) {
+      throw std::invalid_argument("--port is required, in [1, 65535]");
+    }
+    mix.scenario = read_scenario();
   } catch (const std::exception& e) {
     std::cerr << "llload: " << e.what() << "\n";
     return 2;
   }
-  if (*port < 1 || *port > 65535) {
-    std::cerr << "llload: --port is required, in [1, 65535]\n";
-    return 2;
-  }
-
-  Mix mix;
   mix.host = *host;
   mix.port = static_cast<int>(*port);
-  mix.seed_base = *seed;
   mix.unique = std::max<std::size_t>(1, static_cast<std::size_t>(*unique));
-  {
-    std::ostringstream params;
-    params << "{\"policy\": \"" << *policy << "\", \"nodes\": " << *nodes
-           << ", \"jobs\": " << *jobs << ", \"demand\": " << *demand
-           << ", \"machines\": " << *machines << ", \"days\": " << *days
-           << ", \"reps\": " << *reps << ", \"seed\": 0}";
-    mix.params = params.str();
-  }
 
   const std::size_t conns =
       std::max<std::size_t>(1, static_cast<std::size_t>(*connections));
