@@ -228,6 +228,13 @@ class RunFlags {
   /// Reads the parsed flags into `scenario` (validated) and `engine`.
   void read(std::string_view subcommand) {
     scenario = scenario_();
+    const exp::ClusterScenario defaults;
+    if (!traces_->empty() && (scenario.machines != defaults.machines ||
+                              scenario.days != defaults.days)) {
+      throw std::invalid_argument(
+          std::string(subcommand) +
+          ": --traces replaces the synthetic pool; drop --machines and --days");
+    }
     engine.shards = *shards_;
     engine.queue = parse_queue_flag(subcommand, *queue_);
     engine.runner = &util::TaskRunner::shared();
@@ -262,7 +269,9 @@ class RunFlags {
                           options);
   }
 
-  /// A manifest whose config is the scenario's fields and the shard count.
+  /// A manifest whose config is the scenario's fields, the trace directory
+  /// in place of the pool size it replaced, the burst table file and the
+  /// shard count.
   [[nodiscard]] obs::RunManifest manifest(std::string tool,
                                           std::uint64_t seed) const {
     obs::RunManifest manifest;
@@ -270,6 +279,15 @@ class RunFlags {
     manifest.version = obs::current_git_describe();
     manifest.seed = seed;
     manifest.config = scenario.config();
+    if (!traces_->empty()) {
+      std::erase_if(manifest.config, [](const auto& pair) {
+        return pair.first == "machines" || pair.first == "days";
+      });
+      manifest.config.emplace_back("traces", *traces_);
+    }
+    if (!burst_table_->empty()) {
+      manifest.config.emplace_back("burst_table", *burst_table_);
+    }
     if (engine.shards > 0) {
       manifest.config.emplace_back("shards", std::to_string(engine.shards));
     }

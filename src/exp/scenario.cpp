@@ -42,10 +42,11 @@ struct Field {
   std::string_view key;   ///< wire key in a run request's params
   std::string_view flag;  ///< flag name, without "--"
   Bound bound;
-  /// Serve's admission ceiling for work size: the server runs whatever it
+  /// Serve's admission range, [min, cap]: the server runs whatever it
   /// admits, so a million-node request is refused at parse time, not found
-  /// as an hour-long run. llsim's flags skip it.
-  double cap;
+  /// as an hour-long run, and a trace too short to hold a sample is refused
+  /// before its pool is built. llsim's flags skip it.
+  double min, cap;
   Fold fold;
   std::string_view help;
 };
@@ -54,39 +55,43 @@ struct Field {
 /// field, in wire and digest order.
 template <class Visit>
 void for_each_field(Visit&& visit) {
-  visit(&S::policy, {"policy", "policy", kAny, kNoCap, kAlways,
+  visit(&S::policy, {"policy", "policy", kAny, 0, kNoCap, kAlways,
                      "LL, LF, IE, PM, or LL-oracle"});
   visit(&S::nodes,
-        {"nodes", "nodes", kAtLeastOne, 4096, kAlways, "cluster size"});
-  visit(&S::jobs, {"jobs", "jobs", kAtLeastOne, 1e5, kAlways,
+        {"nodes", "nodes", kAtLeastOne, 0, 4096, kAlways, "cluster size"});
+  visit(&S::jobs, {"jobs", "jobs", kAtLeastOne, 0, 1e5, kAlways,
                    "foreign jobs (held in the system if closed)"});
-  visit(&S::demand,
-        {"demand", "demand", kPositive, 1e9, kAlways, "CPU-seconds per job"});
-  visit(&S::machines, {"machines", "machines", kAtLeastOne, 1024, kAlways,
+  visit(&S::demand, {"demand", "demand", kPositive, 1e-6, 1e9, kAlways,
+                     "CPU-seconds per job"});
+  visit(&S::machines, {"machines", "machines", kAtLeastOne, 0, 1024, kAlways,
                        "synthetic trace machines (unless --traces)"});
-  visit(&S::days,
-        {"days", "days", kPositive, 32, kAlways, "synthetic trace days"});
-  visit(&S::closed, {"closed", "closed", kNonNegative, kWeek, kAlways,
+  // Served days start at 0.001 (86 s, 43 samples): a synthetic trace under
+  // one 2-s sample is empty, and serve would build its pool of empty traces
+  // before the run failed.
+  visit(&S::days, {"days", "days", kPositive, 1e-3, 32, kAlways,
+                   "synthetic trace days (unless --traces)"});
+  visit(&S::closed, {"closed", "closed", kNonNegative, 0, kWeek, kAlways,
                      "if > 0: closed-system run of this many seconds "
                      "(throughput mode)"});
-  visit(&S::pause, {"pause", "pause-time", kNonNegative, 1e9, kAlways,
+  visit(&S::pause, {"pause", "pause-time", kNonNegative, 0, 1e9, kAlways,
                     "PM grace period (s)"});
-  visit(&S::reps, {"reps", "reps", kAtLeastOne, 1000, kAlways,
+  visit(&S::reps, {"reps", "reps", kAtLeastOne, 0, 1000, kAlways,
                    "replications (report means with 95% CIs)"});
-  visit(&S::seed, {"seed", "seed", kAny, kNoCap, kNever, "master RNG seed"});
-  visit(&S::mtbf, {"mtbf", "mtbf", kNonNegative, kNoCap, kIfSet,
+  visit(&S::seed,
+        {"seed", "seed", kAny, 0, kNoCap, kNever, "master RNG seed"});
+  visit(&S::mtbf, {"mtbf", "mtbf", kNonNegative, 0, kNoCap, kIfSet,
                    "per-node mean time between crashes (s, 0 = none)"});
-  visit(&S::downtime, {"downtime", "downtime", kPositive, kWeek, kIfSet,
+  visit(&S::downtime, {"downtime", "downtime", kPositive, 0, kWeek, kIfSet,
                        "mean crash downtime (s)"});
-  visit(&S::drop, {"drop", "drop", kNonNegative, kNoCap, kIfSet,
+  visit(&S::drop, {"drop", "drop", kNonNegative, 0, kNoCap, kIfSet,
                    "migration-link drop probability, in [0, 1)"});
-  visit(&S::checkpoint, {"checkpoint", "checkpoint", kNonNegative, kNoCap,
+  visit(&S::checkpoint, {"checkpoint", "checkpoint", kNonNegative, 0, kNoCap,
                          kIfSet, "checkpoint interval (s, 0 = off)"});
   visit(&S::storm_every,
-        {"storm_every", "storm-every", kNonNegative, kNoCap, kIfSet,
+        {"storm_every", "storm-every", kNonNegative, 0, kNoCap, kIfSet,
          "mean s between reclamation storms (0 = off)"});
   visit(&S::pressure_every,
-        {"pressure_every", "pressure-every", kNonNegative, kNoCap, kIfSet,
+        {"pressure_every", "pressure-every", kNonNegative, 0, kNoCap, kIfSet,
          "mean s between memory-pressure spikes (0 = off)"});
 }
 
@@ -105,7 +110,7 @@ std::string value_text(const T& value) {
   }
 }
 
-/// Reads one params value into `out`, refusing it above the field's cap.
+/// Reads one params value into `out`.
 template <class T>
 void read_param(const Field& f, const json::Value& v, T& out) {
   const std::string name = "params." + std::string(f.key);
@@ -117,20 +122,52 @@ void read_param(const Field& f, const json::Value& v, T& out) {
   }
   if constexpr (kIsPolicy<T>) {
     out = core::parse_policy_name(v.as_string());
+  } else if constexpr (std::is_integral_v<T>) {
+    try {
+      out = v.as_u64();
+    } catch (const std::exception&) {
+      throw std::invalid_argument(name + " must be a non-negative integer");
+    }
   } else {
-    if constexpr (std::is_integral_v<T>) {
-      try {
-        out = v.as_u64();
-      } catch (const std::exception&) {
-        throw std::invalid_argument(name + " must be a non-negative integer");
+    out = v.as_number();
+  }
+}
+
+/// Serve's admission control for work size, all in one place: each field's
+/// served range, then the limits that span fields.
+void admit(const ClusterScenario& sc) {
+  for_each_field([&](auto member, const Field& f) {
+    const auto& value = sc.*member;
+    if constexpr (!kIsPolicy<std::decay_t<decltype(value)>>) {
+      const auto v = static_cast<double>(value);
+      if (v < f.min || v > f.cap) {
+        throw std::invalid_argument(
+            "params." + std::string(f.key) + " is outside the served range [" +
+            value_text(f.min) + ", " + value_text(f.cap) + "]");
       }
-    } else {
-      out = v.as_number();
     }
-    if (static_cast<double>(out) > f.cap) {
-      throw std::invalid_argument(name + " exceeds the served cap of " +
-                                  value_text(f.cap));
+  });
+  // A machine-day is 43,200 samples (~0.7 MB) of pool, built whole, so the
+  // two caps alone would admit ~22.6 GB; 256 is the largest pool any bench
+  // builds (ext_scale's).
+  if (static_cast<double>(sc.machines) * sc.days > 256.0) {
+    throw std::invalid_argument(
+        "params.machines x params.days exceeds 256 machine-days");
+  }
+  // A plan compiles every arrival before the run (FaultSpec caps that at
+  // 1e6 per category), and each one is simulated work.
+  const fault::FaultSpec plan = sc.fault_plan();
+  for (const fault::ArrivalProcess* arrivals :
+       {&plan.crash.arrivals, &plan.storm.arrivals, &plan.pressure.arrivals}) {
+    if (arrivals->expected_count(plan.horizon) > 1e4) {
+      throw std::invalid_argument(
+          "params: the fault plan expects over 1e4 arrivals of one kind");
     }
+  }
+  // A checkpoint pauses its job for at least 0.3 s, so a shorter interval
+  // runs a job's demand as billions of checkpoints.
+  if (sc.checkpoint > 0.0 && sc.checkpoint < 1.0) {
+    throw std::invalid_argument("params.checkpoint must be 0 (off) or >= 1");
   }
 }
 
@@ -154,39 +191,16 @@ ClusterScenario ClusterScenario::from_json(const json::Value& v) {
     }
   }
   sc.validate(FieldNames::kParams);
-  // Admission control beyond the per-field caps. A machine-day is 43,200
-  // samples (~0.7 MB) of pool, built whole, so the two caps alone would
-  // admit ~22.6 GB; 256 is the largest pool any bench builds (ext_scale's).
-  if (static_cast<double>(sc.machines) * sc.days > 256.0) {
-    throw std::invalid_argument(
-        "params.machines x params.days exceeds 256 machine-days");
-  }
-  // A plan compiles every arrival before the run (FaultSpec caps that at
-  // 1e6 per category), and each one is simulated work.
-  const fault::FaultSpec plan = sc.fault_plan();
-  for (const fault::ArrivalProcess* arrivals :
-       {&plan.crash.arrivals, &plan.storm.arrivals, &plan.pressure.arrivals}) {
-    if (arrivals->expected_count(plan.horizon) > 1e4) {
-      throw std::invalid_argument(
-          "params: the fault plan expects over 1e4 arrivals of one kind");
-    }
-  }
-  // A checkpoint pauses its job for at least 0.3 s, so a shorter interval
-  // runs a job's demand as billions of checkpoints.
-  if (sc.checkpoint > 0.0 && sc.checkpoint < 1.0) {
-    throw std::invalid_argument("params.checkpoint must be 0 (off) or >= 1");
-  }
+  admit(sc);
   return sc;
 }
 
 std::string ClusterScenario::to_json() const {
   std::string out;
-  for_each_field([&](auto member, const Field& f) {
-    const auto& value = this->*member;
-    const std::string text = value_text(value);
-    out += (out.empty() ? "{\"" : ", \"") + std::string(f.key) + "\": ";
-    out += kIsPolicy<std::decay_t<decltype(value)>> ? '"' + text + '"' : text;
-  });
+  for (const auto& [key, value] : config()) {
+    out += (out.empty() ? "{\"" : ", \"") + key + "\": ";
+    out += key == "policy" ? '"' + value + '"' : value;
+  }
   return out + "}";
 }
 

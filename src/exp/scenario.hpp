@@ -64,8 +64,8 @@ using HookFactory = std::function<ClusterHooks(std::uint64_t seed)>;
 /// request key ("params.pause").
 enum class FieldNames { kFlags, kParams };
 
-/// A cluster scenario. Each field's wire key, flag, help, bound and serve
-/// cap are its row of the field table. The last six fields are the fault
+/// A cluster scenario. Each field's wire key, flag, help, bound and served
+/// range are its row of the field table. The last six fields are the fault
 /// plan (DESIGN.md §9), each off at its default.
 struct ClusterScenario {
   core::PolicyKind policy = core::PolicyKind::LingerLonger;
@@ -90,8 +90,8 @@ struct ClusterScenario {
   /// Parses the "params" object of a serve run request: unknown keys are
   /// refused, missing keys keep their defaults, and the result passes
   /// validate() and serve's admission control for work size (each field's
-  /// cap, at most 256 machine-days of pool, at most 1e4 expected fault
-  /// arrivals per category, checkpoints at least 1 s apart). Throws
+  /// served range, at most 256 machine-days of pool, at most 1e4 expected
+  /// fault arrivals per category, checkpoints at least 1 s apart). Throws
   /// std::invalid_argument.
   [[nodiscard]] static ClusterScenario from_json(const util::json::Value& v);
 

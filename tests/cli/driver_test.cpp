@@ -53,6 +53,14 @@ class CliTest : public ::testing::Test {
   fs::path dir_;
 };
 
+/// Parses a JSON file a command wrote.
+util::json::Value read_json(const std::string& file) {
+  std::ifstream in(file);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return util::json::parse(buf.str());
+}
+
 TEST(CliBasics, NoArgsPrintsUsageAndFails) {
   const CliResult r = run({});
   EXPECT_EQ(r.code, 2);
@@ -209,6 +217,38 @@ TEST_F(CliTest, ClusterUsesTraceDirectory) {
   EXPECT_NE(r.out.find("LF"), std::string::npos);
 }
 
+TEST_F(CliTest, TracesReplacesThePoolSizeFlags) {
+  // --traces replaces the synthetic pool, so a pool size it would ignore is
+  // refused, and the manifest records the directory in its place.
+  ASSERT_EQ(run({"traces", "--machines=2", "--days=0.25",
+                 "--out=" + path("pool")})
+                .code,
+            0);
+  const std::vector<std::string> scenario = {"--nodes=4", "--jobs=4",
+                                             "--traces=" + path("pool")};
+  for (const std::string cmd : {"cluster", "faults", "profile", "trace"}) {
+    for (const std::string flag : {"--machines=999", "--days=0.5"}) {
+      std::vector<std::string> args = {cmd, flag};
+      args.insert(args.end(), scenario.begin(), scenario.end());
+      if (cmd == "trace") args.push_back("--out=" + path("t.json"));
+      const CliResult r = run(args);
+      EXPECT_EQ(r.code, 1) << cmd << " " << flag;
+      EXPECT_EQ(r.err.rfind("llsim: " + cmd + ": --traces replaces", 0), 0u)
+          << r.err;
+    }
+  }
+  std::vector<std::string> args = {"cluster", "--metrics-out=" + path("m.json")};
+  args.insert(args.end(), scenario.begin(), scenario.end());
+  ASSERT_EQ(run(args).code, 0);
+  const util::json::Value doc = read_json(path("m.json"));
+  const util::json::Value* config = doc.find("config");
+  ASSERT_NE(config, nullptr);
+  EXPECT_EQ(config->find("machines"), nullptr);
+  EXPECT_EQ(config->find("days"), nullptr);
+  ASSERT_NE(config->find("traces"), nullptr);
+  EXPECT_EQ(config->find("traces")->as_string(), path("pool"));
+}
+
 TEST_F(CliTest, ClusterRefusesTinyTracePeriodPromptly) {
   // A run replaying a 1e-300 s period used to tick without end.
   fs::create_directories(path("pool"));
@@ -233,8 +273,14 @@ TEST_F(CliTest, ClusterAcceptsCustomBurstTable) {
   workload::save_table(workload::default_burst_table(), path("t.bursts"));
   const CliResult r =
       run({"cluster", "--policy=LL", "--nodes=4", "--jobs=4", "--demand=60",
-           "--machines=2", "--days=0.2", "--burst-table=" + path("t.bursts")});
+           "--machines=2", "--days=0.2", "--burst-table=" + path("t.bursts"),
+           "--metrics-out=" + path("m.json")});
   ASSERT_EQ(r.code, 0) << r.err;
+  // The run manifest names the table the run used.
+  const util::json::Value doc = read_json(path("m.json"));
+  const util::json::Value* table = doc.find("config")->find("burst_table");
+  ASSERT_NE(table, nullptr);
+  EXPECT_EQ(table->as_string(), path("t.bursts"));
 }
 
 TEST_F(CliTest, ParallelRunReportsThroughput) {
@@ -332,10 +378,7 @@ TEST_F(CliTest, ClusterRefusesJobLogOfClosedRun) {
 
 /// The seed and the sim-time metrics of a run manifest.
 std::string manifest_run(const std::string& file) {
-  std::ifstream in(file);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const auto doc = util::json::parse(buf.str());
+  const auto doc = read_json(file);
   std::string run = "seed " + std::to_string(doc.find("seed")->as_u64());
   for (const auto& m : doc.find("metrics")->as_array()) {
     run += "\n" + m.find("name")->as_string() + " " +

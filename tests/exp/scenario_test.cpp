@@ -152,6 +152,9 @@ TEST(ScenarioTable, ServeAdmitsOnlyBoundedWork) {
   EXPECT_THROW((void)from_text(R"({"demand": 1e999})"), std::invalid_argument);
   EXPECT_THROW((void)from_text(R"({"mtbf": 1e999})"), std::invalid_argument);
   EXPECT_EQ(from_flags({"--mtbf=300"}).mtbf, 300.0);  // serve refuses it
+  // So does a served floor.
+  EXPECT_THROW((void)from_text(R"({"demand": 1e-7})"), std::invalid_argument);
+  EXPECT_EQ(from_flags({"--demand=1e-7"}).demand, 1e-7);
   // A checkpoint interval below 1 s would run a job as billions of
   // checkpoints.
   EXPECT_THROW((void)from_text(R"({"checkpoint": 0.5})"),

@@ -77,6 +77,24 @@ TEST(Protocol, PoolSizeIsCappedInMachineDays) {
                    32.0);
 }
 
+TEST(Protocol, ServedRangesKeepTheirFloors) {
+  // A 1e-6-day synthetic trace holds no 2-s sample: refused before its
+  // pool of empty traces is built, however many machines it asks for.
+  for (const char* params :
+       {R"({"days": 1e-6})", R"({"machines": 1024, "days": 1e-6})",
+        R"({"days": 0.0009})", R"({"demand": 1e-7})"}) {
+    EXPECT_THROW((void)parse_request(std::string(R"({"id": 1, "op": "run", )"
+                                                 R"("params": )") +
+                                     params + "}"),
+                 RequestError)
+        << params;
+  }
+  const ParsedRequest floor = parse_request(
+      R"({"id": 2, "op": "run", "params": {"days": 0.001, "demand": 1e-6}})");
+  EXPECT_DOUBLE_EQ(floor.scenario.days, 1e-3);
+  EXPECT_DOUBLE_EQ(floor.scenario.demand, 1e-6);
+}
+
 TEST(Protocol, FaultPlanIsCappedInExpectedArrivals) {
   // 64 nodes at a 300-s per-node MTBF expect 18,432 crashes over the
   // one-day horizon: over the 1e4 a served plan may expect per category.
